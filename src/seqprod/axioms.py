@@ -26,7 +26,7 @@ from .effects import (
     luders_product,
     phased_product,
 )
-from .linalg import hermitize, operator_norm
+from .linalg import NonConvergence, hermitize, operator_norm
 from .serialize import matrix_to_document
 
 __all__ = [
@@ -215,18 +215,28 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def _run_check(axiom, put, trials, dims, seed, ceiling, trial_fn,
-               max_attempt_factor=10) -> CheckReport:
+def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
+               directions=None, max_attempt_factor=10) -> CheckReport:
     """Drive trials until `trials` samples executed or attempts are exhausted.
 
-    ``trial_fn(rng, dim) -> (defect, witness) | None`` where None means the
-    trial's hypothesis was not met (not a sample).  Exceptions raised by the
-    product under test count as failures.
+    ``trial_fn(rng, dim, i)`` returns None when the trial's hypothesis was
+    not met (not a sample), else ``(defect, witness)``: a sample that fails
+    when defect > ceiling, the worst defect's witness being reported.  A
+    trial that judges itself returns ``(None, None)`` when it passed and
+    ``(None, witness)`` when it failed.  Exceptions raised by the product
+    under test count as failures.  The report's witness is the first
+    exception's, else the first self-judged failure's, else the worst
+    defect's.  With ``directions``, trial i runs in direction
+    ``directions[i % len(directions)]`` and the report's ``breakdown``
+    counts trials and failures per direction.
     """
     dims = tuple(dims)
+    breakdown = {f"{d}_{key}": 0 for d in directions or ()
+                 for key in ("trials", "failures")}
     executed = failures = attempts = 0
     worst = 0.0
     worst_witness: Optional[dict] = None
+    fail_witness: Optional[dict] = None
     exc_witness: Optional[dict] = None
     while executed < trials and attempts < trials * max_attempt_factor:
         i = attempts
@@ -235,28 +245,38 @@ def _run_check(axiom, put, trials, dims, seed, ceiling, trial_fn,
         rng = _trial_rng(seed, i)
         try:
             res = trial_fn(rng, dim, i)
-        except (ValidationError, DomainError) as exc:
-            executed += 1
-            failures += 1
+        except (ValidationError, DomainError, NonConvergence,
+                np.linalg.LinAlgError) as exc:
+            failed = True
             if exc_witness is None:
                 exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
-            continue
-        if res is None:
-            continue
-        defect, witness = res
+        else:
+            if res is None:
+                continue
+            defect, witness = res
+            if defect is None:
+                failed = witness is not None
+                if failed and fail_witness is None:
+                    fail_witness = {"trial": i, "dim": dim, **witness}
+            else:
+                failed = defect > ceiling
+                if defect > worst:
+                    worst = defect
+                    worst_witness = {"trial": i, "dim": dim, **witness}
         executed += 1
-        if defect > worst:
-            worst = defect
-            worst_witness = {"trial": i, "dim": dim, **witness}
-        if defect > ceiling:
-            failures += 1
+        failures += failed
+        if directions:
+            direction = directions[i % len(directions)]
+            breakdown[f"{direction}_trials"] += 1
+            breakdown[f"{direction}_failures"] += failed
     return CheckReport(
         axiom=axiom,
         trials=executed,
         failures=failures,
         worst_violation=worst,
-        witness=exc_witness if exc_witness is not None else worst_witness,
+        witness=exc_witness or fail_witness or worst_witness,
         seed=seed,
+        breakdown=breakdown or None,
     )
 
 
@@ -283,7 +303,7 @@ def check_s1(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         defect = max(defect, top - 1.0)
         return defect, {"a": _doc(a), "b": _doc(b), "c": _doc(c)}
 
-    return _run_check("S1", put, trials, dims, seed, ceiling, trial)
+    return _run_check("S1", trials, dims, seed, ceiling, trial)
 
 
 def check_s2(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
@@ -295,7 +315,7 @@ def check_s2(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         defect = _fro(put(ident, a).matrix - a.matrix)
         return defect, {"a": _doc(a)}
 
-    return _run_check("S2", put, trials, dims, seed, ceiling, trial)
+    return _run_check("S2", trials, dims, seed, ceiling, trial)
 
 
 def check_s3(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
@@ -331,7 +351,7 @@ def check_s3(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         defect = _fro(put(b, a).matrix)
         return defect, {"a": _doc(a), "b": _doc(b)}
 
-    report = _run_check("S3", put, trials, dims, seed, ceiling, trial)
+    report = _run_check("S3", trials, dims, seed, ceiling, trial)
     if report.trials < max(1, trials // 10):
         raise InsufficientSamples(
             f"only {report.trials} of {trials} requested trials met the "
@@ -355,7 +375,7 @@ def check_s4(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         d2 = _fro(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
         return max(d1, d2), {"a": _doc(a), "b": _doc(b), "c": _doc(c)}
 
-    return _run_check("S4", put, trials, dims, seed, ceiling, trial)
+    return _run_check("S4", trials, dims, seed, ceiling, trial)
 
 
 def check_s5(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
@@ -378,7 +398,7 @@ def check_s5(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         d2 = _fro(put(c, s).matrix - put(s, c).matrix)
         return max(d1, d2), {"a": _doc(a), "b": _doc(b), "c": _doc(c)}
 
-    return _run_check("S5", put, trials, dims, seed, ceiling, trial)
+    return _run_check("S5", trials, dims, seed, ceiling, trial)
 
 
 def check_commutativity_theorem(
@@ -392,84 +412,40 @@ def check_commutativity_theorem(
     equal to the plain matrix product AB.  Converse, contrapositive form
     (odd trials): operands with ‖AB − BA‖_F >= comm_floor must give products
     differing by more than separation_floor.  Failures are counted per
-    direction in ``breakdown``.
+    direction in ``breakdown``, whose ``min_converse_gap`` is the smallest
+    converse gap measured (None when none was).
     """
-    dims = tuple(dims)
-    fwd_trials = fwd_fail = con_trials = con_fail = 0
-    worst_fwd = 0.0
-    min_gap = float("inf")
-    fwd_witness = con_witness = exc_witness = None
-    attempts = 0
-    while (fwd_trials + con_trials) < trials and attempts < trials * 10:
-        i = attempts
-        attempts += 1
-        dim = dims[(i // 2) % len(dims)]
-        rng = _trial_rng(seed, i)
+    min_gap = None
+
+    def trial(rng, dim, i):
+        nonlocal min_gap
         if i % 2 == 0:
             a, b = _gen_commuting_pair(rng, dim)
-            try:
-                pab, pba = put(a, b), put(b, a)
-            except (ValidationError, DomainError) as exc:
-                fwd_trials += 1
-                fwd_fail += 1
-                if exc_witness is None:
-                    exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
-                continue
+            pab, pba = put(a, b), put(b, a)
             defect = max(
                 _fro(pab.matrix - pba.matrix),
                 _fro(pab.matrix - a.matrix @ b.matrix),
             )
-            fwd_trials += 1
-            if defect > worst_fwd:
-                worst_fwd = defect
-                fwd_witness = {"trial": i, "dim": dim, "direction": "forward",
-                               "a": _doc(a), "b": _doc(b)}
-            if defect > ceiling:
-                fwd_fail += 1
+            return defect, {"direction": "forward", "a": _doc(a), "b": _doc(b)}
+        if dim < 2:
+            return None  # every pair commutes; the commutator floor is unreachable
+        for _ in range(200):
+            a, b = _gen_generic(rng, dim), _gen_generic(rng, dim)
+            if _fro(a.matrix @ b.matrix - b.matrix @ a.matrix) >= comm_floor:
+                break
         else:
-            if dim < 2:
-                continue  # every pair commutes; the commutator floor is unreachable
-            pair = None
-            for _ in range(200):
-                a, b = _gen_generic(rng, dim), _gen_generic(rng, dim)
-                if _fro(a.matrix @ b.matrix - b.matrix @ a.matrix) >= comm_floor:
-                    pair = (a, b)
-                    break
-            if pair is None:
-                continue
-            a, b = pair
-            try:
-                gap = _fro(put(a, b).matrix - put(b, a).matrix)
-            except (ValidationError, DomainError) as exc:
-                con_trials += 1
-                con_fail += 1
-                if exc_witness is None:
-                    exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
-                continue
-            con_trials += 1
-            if gap < min_gap:
-                min_gap = gap
-            if gap <= separation_floor:
-                con_fail += 1
-                if con_witness is None:
-                    con_witness = {"trial": i, "dim": dim, "direction": "converse",
-                                   "gap": gap, "a": _doc(a), "b": _doc(b)}
-    witness = exc_witness or con_witness or fwd_witness
-    return CheckReport(
-        axiom="commutativity",
-        trials=fwd_trials + con_trials,
-        failures=fwd_fail + con_fail,
-        worst_violation=worst_fwd,
-        witness=witness,
-        seed=seed,
-        breakdown={
-            "forward_trials": fwd_trials,
-            "forward_failures": fwd_fail,
-            "converse_trials": con_trials,
-            "converse_failures": con_fail,
-            "min_converse_gap": (min_gap if con_trials else None),
-        },
-    )
+            return None
+        gap = _fro(put(a, b).matrix - put(b, a).matrix)
+        min_gap = gap if min_gap is None else min(min_gap, gap)
+        if gap > separation_floor:
+            return None, None
+        return None, {"direction": "converse", "gap": gap,
+                      "a": _doc(a), "b": _doc(b)}
+
+    report = _run_check("commutativity", trials, dims, seed, ceiling, trial,
+                        directions=("forward", "converse"))
+    report.breakdown["min_converse_gap"] = min_gap
+    return report
 
 
 def run_axiom_suite(put: ProductUnderTest, *, trials: int = 1000,
@@ -539,11 +515,7 @@ def projector_interpolation(b: Effect, k: int, *, cluster_tol: float = 1e-8,
                     f"interpolation nodes {p} and {q} are closer than {node_tol:g}"
                 )
     dec = b.decomposition
-    u = np.zeros(dec.dim, dtype=np.complex128)
-    mask = dec.eigenvalues > b.support_cutoff
-    lam = dec.eigenvalues[mask]
-    u[mask] = np.sqrt(lam) * np.exp(-1j * np.log(lam))
-    matrix = dec.apply(u)
+    matrix = dec.apply(b._support_weights(-1.0))
     result = np.eye(dec.dim, dtype=np.complex128)
     denom = 1.0 + 0j
     for j in range(m):

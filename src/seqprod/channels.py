@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .effects import Effect, ValidationError, _support_phases, sqrt_effect
+from .effects import Effect, ValidationError, sqrt_effect
 from .effects import DensityOperator
 from .linalg import hermitize
 
@@ -111,6 +111,7 @@ class EffectDecomposition:
         self.effects = effects
         self.dim = dim
         self.sum_deviation = deviation
+        self._sum_tol = sum_tol
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -127,27 +128,16 @@ def luders_channel(b: Effect) -> QuantumChannel:
 def phased_channel(decomposition, t: float = 1.0) -> QuantumChannel:
     """Channel with Kraus elements A_j^{1/2} A_j^{it} over a decomposition.
 
-    Trace preservation holds by construction: Σ K†K = Σ A_j = I.
+    Trace preservation holds by construction: Σ K†K = Σ A_j = I, to the
+    tolerance the decomposition was validated with.
     """
-    if not math.isfinite(t):
-        raise ValidationError(f"t must be finite, got {t!r}")
     if not isinstance(decomposition, EffectDecomposition):
         decomposition = EffectDecomposition(decomposition)
-    if decomposition.sum_deviation > DECOMPOSITION_TOL:
-        raise DecompositionError(
-            f"effects sum deviates from the identity by "
-            f"{decomposition.sum_deviation:.3e}"
-        )
-    kraus = []
-    for eff in decomposition.effects:
-        dec = eff.decomposition
-        w, mask = _support_phases(dec.eigenvalues, eff.support_cutoff, t)
-        u = np.zeros_like(w)
-        u[mask] = np.sqrt(dec.eigenvalues[mask]) * w[mask]
-        kraus.append(dec.apply(u))
+    kraus = [e.decomposition.apply(e._support_weights(t))
+             for e in decomposition.effects]
     return QuantumChannel(
         kraus, label=f"phased(t={t:g})",
-        require_trace_preserving=True, tp_tol=DECOMPOSITION_TOL,
+        require_trace_preserving=True, tp_tol=decomposition._sum_tol,
     )
 
 

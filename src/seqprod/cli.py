@@ -174,7 +174,7 @@ def _raw_matrix_product(a: Effect, b: Effect) -> Effect:
     return Effect(a.matrix @ b.matrix)
 
 
-def _product_under_test(name: str, t: float) -> ProductUnderTest:
+def _product_under_test(name: str, t: float | None) -> ProductUnderTest:
     if name == "luders":
         return luders_under_test()
     if name == "phased":
@@ -182,16 +182,21 @@ def _product_under_test(name: str, t: float) -> ProductUnderTest:
     return ProductUnderTest(_raw_matrix_product, "raw")
 
 
+def _single_t(args) -> float:
+    t_values = _parse_csv_floats(args.t)
+    if len(t_values) != 1:
+        raise ValidationError(f"{args.command} expects exactly one value in --t")
+    return t_values[0]
+
+
 def cmd_product(args) -> int:
     a = _load_effect(args.a_file)
     b = _load_effect(args.b_file)
-    t_values = _parse_csv_floats(args.t)
-    if len(t_values) != 1:
-        raise ValidationError("product expects exactly one value in --t")
+    t = _single_t(args)
     if args.form == "luders":
         result = luders_product(a, b)
     else:
-        result = phased_product(a, b, t_values[0])
+        result = phased_product(a, b, t)
     _emit(args, matrix_to_document(result.matrix))
     return EXIT_OK
 
@@ -199,13 +204,9 @@ def cmd_product(args) -> int:
 def cmd_axioms(args) -> int:
     config = _config_from_args(args)
     groups = []
-    if args.product == "phased":
-        variants = [(f"phased(t={t:g})", t) for t in config.t_values]
-    else:
-        variants = [(args.product, None)]
     all_passed = True
-    for label, t in variants:
-        put = _product_under_test(args.product, t if t is not None else 1.0)
+    for t in config.t_values if args.product == "phased" else [None]:
+        put = _product_under_test(args.product, t)
         reports = run_axiom_suite(
             put,
             trials=config.trials,
@@ -219,7 +220,7 @@ def cmd_axioms(args) -> int:
         failed = sum(r.failures for r in reports)
         all_passed = all_passed and failed == 0
         groups.append({
-            "label": put.label if t is None else label,
+            "label": put.label,
             "t": t,
             "failures": failed,
             "reports": _report_dicts(reports),
@@ -254,23 +255,21 @@ def cmd_nonuniqueness(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    config = _config_from_args(args)
-    t_values = config.t_values
-    if len(t_values) != 1:
-        raise ValidationError("channel expects exactly one value in --t")
+    t = _single_t(args)
+    sum_tol = _parse_tolerances(args.tol).get("decomp", TOLERANCE_DEFAULTS["decomp"])
     docs = _load_json(args.decomposition_file)
     if not isinstance(docs, list):
         raise ValidationError("decomposition file must be a JSON array of matrix documents")
     effects = [Effect(document_to_matrix(doc)) for doc in docs]
-    decomposition = EffectDecomposition(effects, sum_tol=config.tol("decomp"))
+    decomposition = EffectDecomposition(effects, sum_tol=sum_tol)
     rho = DensityOperator(document_to_matrix(_load_json(args.rho_file)))
-    channel = phased_channel(decomposition, t_values[0])
+    channel = phased_channel(decomposition, t)
     out = apply_channel(channel, rho)
     choi = choi_matrix(channel)
     min_eig = float(np.linalg.eigvalsh(choi)[0])
     _emit(args, {
         "command": "channel",
-        "t": t_values[0],
+        "t": t,
         "output": matrix_to_document(out.matrix),
         "trace": float(np.trace(out.matrix).real),
         "min_choi_eigenvalue": min_eig,
@@ -286,39 +285,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, trials: int, dims: str, t: str):
-        p.add_argument("--seed", type=int, default=0,
-                       help=f"RNG seed (overridden by ${SEED_ENV_VAR})")
-        p.add_argument("--trials", type=int, default=trials)
-        p.add_argument("--dims", default=dims, help="csv of dimensions")
-        p.add_argument("--t", default=t, help="csv of phase parameters")
+    def common(p, *, trials=None, dims=None, tol=True):
+        if trials is not None:
+            p.add_argument("--seed", type=int, default=0,
+                           help=f"RNG seed (overridden by ${SEED_ENV_VAR})")
+            p.add_argument("--trials", type=int, default=trials)
+            p.add_argument("--dims", default=dims, help="csv of dimensions")
+        p.add_argument("--t", default="1", help="csv of phase parameters")
         p.add_argument("--json-out", default=None, help="also write the JSON here")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="override a tolerance (repeatable); names: "
-                            + ", ".join(sorted(TOLERANCE_DEFAULTS)))
+        if tol:
+            p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                           help="override a tolerance (repeatable); names: "
+                                + ", ".join(sorted(TOLERANCE_DEFAULTS)))
 
     p = sub.add_parser("product", help="product of two effects from files")
     p.add_argument("a_file")
     p.add_argument("b_file")
     p.add_argument("--form", choices=("luders", "phased"), default="phased")
-    common(p, trials=1, dims="2", t="1")
+    common(p, tol=False)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("axioms", help="run the S1-S5 suite plus the commutativity check")
     p.add_argument("--product", choices=("luders", "phased", "raw"), default="phased",
                    help="'raw' is a deliberately broken product for failure-path tests")
-    common(p, trials=1000, dims="2,3,4,6", t="1")
+    common(p, trials=1000, dims="2,3,4,6")
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("nonuniqueness", help="search for a phased-vs-Lüders witness")
     p.add_argument("--kind", choices=("generic", "commuting"), default="generic")
-    common(p, trials=100, dims="2", t="1")
+    common(p, trials=100, dims="2")
     p.set_defaults(func=cmd_nonuniqueness)
 
     p = sub.add_parser("channel", help="apply a phased channel built from a decomposition")
     p.add_argument("decomposition_file")
     p.add_argument("rho_file")
-    common(p, trials=1, dims="2", t="1")
+    common(p)
     p.set_defaults(func=cmd_channel)
 
     return parser

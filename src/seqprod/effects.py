@@ -138,6 +138,24 @@ class Effect:
         """Projection onto the range of the effect."""
         return support_projection(self.decomposition, self.support_cutoff)
 
+    def _support_weights(self, t: float, *, root: bool = True) -> np.ndarray:
+        """√λ·e^{it ln λ} per eigenvalue (e^{it ln λ} alone without ``root``).
+
+        The single place where the support cutoff is applied: weights at or
+        below it are exactly 0.  The angle array is built from |t| and the
+        sign applied on the imaginary part, so weights for t and -t are exact
+        complex conjugates bit for bit.
+        """
+        t = _require_finite(t)
+        lam = self.decomposition.eigenvalues
+        mask = lam > self.support_cutoff
+        theta = abs(t) * np.log(lam[mask])
+        c, s = np.cos(theta), np.sin(theta)
+        phase = c + 1j * s if t >= 0 else c - 1j * s
+        w = np.zeros(lam.shape[0], dtype=np.complex128)
+        w[mask] = np.sqrt(lam[mask]) * phase if root else phase
+        return w
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -186,20 +204,6 @@ def _require_same_dim(a: Effect, b) -> None:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.shape[0]}")
 
 
-def _support_phases(eigenvalues: np.ndarray, cutoff: float, t: float):
-    """Unit phases e^{it·ln λ} on the support, 0 at or below the cutoff.
-
-    The angle array is built from |t| and the sign applied on the imaginary
-    part, so phases for t and -t are exact complex conjugates bit for bit.
-    """
-    w = np.zeros(eigenvalues.shape[0], dtype=np.complex128)
-    mask = eigenvalues > cutoff
-    theta = abs(t) * np.log(eigenvalues[mask])
-    c, s = np.cos(theta), np.sin(theta)
-    w[mask] = c + 1j * s if t >= 0 else c - 1j * s
-    return w, mask
-
-
 def effect_power_it(a: Effect, t: float) -> np.ndarray:
     """A^{it}: the unitary-on-support phase factor of the effect.
 
@@ -207,19 +211,23 @@ def effect_power_it(a: Effect, t: float) -> np.ndarray:
     A^{it} A^{-it} equals the support projection and (A^{it})† = A^{-it}
     holds exactly.
     """
-    t = _require_finite(t)
-    dec = a.decomposition
-    w, _ = _support_phases(dec.eigenvalues, a.support_cutoff, t)
-    return dec.apply(w)
+    return a.decomposition.apply(a._support_weights(t, root=False))
 
 
 def sqrt_effect(a: Effect) -> Effect:
     """Positive square root; spectrum stays in [0, 1]."""
-    dec = a.decomposition
-    vals = np.where(
-        dec.eigenvalues > a.support_cutoff, np.sqrt(dec.eigenvalues), 0.0
+    return Effect.from_eigensystem(
+        a._support_weights(0.0).real, a.decomposition.eigenvectors
     )
-    return Effect.from_eigensystem(vals, dec.eigenvectors)
+
+
+def _sandwich(a: Effect, s: np.ndarray, t: float) -> np.ndarray:
+    """A^{1/2} A^{it} S A^{-it} A^{1/2} for Hermitian S, in A's eigenbasis."""
+    u = a._support_weights(t)
+    _require_same_dim(a, s)
+    v = a.decomposition.eigenvectors
+    s_eig = v.conj().T @ s @ v
+    return v @ (np.outer(u, u.conj()) * s_eig) @ v.conj().T
 
 
 def phased_product(a: Effect, b: Effect, t: float = 1.0) -> Effect:
@@ -228,16 +236,7 @@ def phased_product(a: Effect, b: Effect, t: float = 1.0) -> Effect:
     Computed entrywise in the eigenbasis of A from a single decomposition;
     t = 0 is the Lüders product through the same code path.
     """
-    t = _require_finite(t)
-    _require_same_dim(a, b.matrix)
-    dec = a.decomposition
-    w, mask = _support_phases(dec.eigenvalues, a.support_cutoff, t)
-    u = np.zeros_like(w)
-    u[mask] = np.sqrt(dec.eigenvalues[mask]) * w[mask]
-    v = dec.eigenvectors
-    b_eig = v.conj().T @ b.matrix @ v
-    out = v @ (np.outer(u, u.conj()) * b_eig) @ v.conj().T
-    return Effect(out)
+    return Effect(_sandwich(a, b.matrix, t))
 
 
 def luders_product(a: Effect, b: Effect) -> Effect:
@@ -250,19 +249,10 @@ def product_on_selfadjoint(b: Effect, operand, t: float = 1.0) -> np.ndarray:
 
     This is the unique linear extension of the effect product to
     self-adjoint operands: the formula is linear in S, so differences and
-    real scalings of effects are handled in one shot.
+    real scalings of effects are handled in one shot.  On an effect S it is
+    bit for bit the matrix of the phased product.
     """
-    t = _require_finite(t)
-    s = hermitize(operand)
-    _require_same_dim(b, s)
-    dec = b.decomposition
-    w, mask = _support_phases(dec.eigenvalues, b.support_cutoff, t)
-    u = np.zeros_like(w)
-    u[mask] = np.sqrt(dec.eigenvalues[mask]) * w[mask]
-    v = dec.eigenvectors
-    s_eig = v.conj().T @ s @ v
-    out = v @ (np.outer(u, u.conj()) * s_eig) @ v.conj().T
-    return hermitize(out)
+    return hermitize(_sandwich(b, hermitize(operand), t))
 
 
 def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,

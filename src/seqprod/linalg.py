@@ -27,11 +27,6 @@ __all__ = [
     "support_projection",
 ]
 
-# Double precision keeps eigensolver errors near 1e-13 for dims <= 64; the
-# defaults below leave one order of magnitude of safety margin.
-TOL_ORTH_PER_DIM = 1e-12
-TOL_RECON = 1e-11
-
 
 class NonConvergence(RuntimeError):
     """The eigensolver failed to converge (pathological input)."""

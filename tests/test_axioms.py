@@ -7,6 +7,7 @@ from seqprod import (
     Effect,
     EffectGenSpec,
     InsufficientSamples,
+    NonConvergence,
     ProductUnderTest,
     ValidationError,
     check_commutativity_theorem,
@@ -126,6 +127,21 @@ def test_broken_product_fails_suite():
     assert "error" in s1.witness
     comm = check_commutativity_theorem(put, trials=60, dims=(3, 4), seed=1)
     assert comm.breakdown["converse_failures"] == comm.breakdown["converse_trials"] > 0
+
+
+@pytest.mark.parametrize("error", [NonConvergence, np.linalg.LinAlgError])
+def test_numerical_failure_of_product_is_counted(error):
+    def diverging(a, b):
+        raise error("eigensolver did not converge")
+
+    put = ProductUnderTest(diverging, "diverging")
+    s2 = check_s2(put, trials=10, dims=(2, 3), seed=0)
+    assert s2.failures == s2.trials == 10
+    assert s2.witness["error"] == "eigensolver did not converge"
+    comm = check_commutativity_theorem(put, trials=10, dims=(2, 3), seed=0)
+    assert comm.failures == comm.trials == 10
+    assert comm.breakdown["converse_failures"] == 5
+    assert comm.breakdown["min_converse_gap"] is None
 
 
 def test_s3_insufficient_samples_without_structured_generator():

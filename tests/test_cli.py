@@ -116,6 +116,17 @@ def test_product_invalid_input_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_product_and_channel_reject_flags_they_do_not_read(tmp_path, capsys):
+    a_file = write_doc(tmp_path / "a.json", np.eye(2))
+    assert main(["product", a_file, a_file, "--seed", "1"]) == 2
+    assert main(["product", a_file, a_file, "--tol", "defect=1"]) == 2
+    d_file = tmp_path / "d.json"
+    d_file.write_text(dumps([matrix_to_document(np.eye(2))]))
+    rho_file = write_doc(tmp_path / "rho.json", np.eye(2) / 2)
+    assert main(["channel", str(d_file), rho_file, "--trials", "3"]) == 2
+    capsys.readouterr()
+
+
 def test_json_out_writes_same_bytes(tmp_path, capsys):
     a_file = write_doc(tmp_path / "a.json", np.eye(2))
     out_path = tmp_path / "result.json"
@@ -252,6 +263,22 @@ def test_channel_invalid_decomposition_exits_two(tmp_path, capsys):
     rho_file = write_doc(tmp_path / "rho.json", np.eye(2) / 2)
     assert main(["channel", str(d_file), rho_file]) == 2
     assert "identity" in capsys.readouterr().err
+
+
+def test_channel_decomp_tolerance_override(tmp_path, capsys):
+    # effects summing to I + Δ with ‖Δ‖_F = 1e-7; Δ is traceless against ρ,
+    # so the output state keeps unit trace
+    a = np.diag([0.3, 0.6])
+    delta = 1e-7 / np.sqrt(2) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    d_file = tmp_path / "d.json"
+    d_file.write_text(dumps([matrix_to_document(a),
+                             matrix_to_document(np.eye(2) - a + delta)]))
+    rho_file = write_doc(tmp_path / "rho.json", np.diag([0.7, 0.3]))
+    assert main(["channel", str(d_file), rho_file]) == 2
+    assert "identity" in capsys.readouterr().err
+    assert main(["channel", str(d_file), rho_file, "--tol", "decomp=1e-6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["trace"] - 1.0) <= 1e-12
 
 
 def test_usage_error_exits_two(capsys):

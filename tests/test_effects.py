@@ -10,6 +10,7 @@ from seqprod import (
     DensityOperator,
     DomainError,
     Effect,
+    EffectDecomposition,
     Projection,
     ValidationError,
     closed_form_2d,
@@ -18,6 +19,7 @@ from seqprod import (
     haar_unitary,
     luders_product,
     operator_norm,
+    phased_channel,
     phased_product,
     product_on_selfadjoint,
     sqrt_effect,
@@ -361,3 +363,26 @@ def test_selfadjoint_extension_matches_scaled_effect_product():
         lhs = product_on_selfadjoint(b, scale * a_prime.matrix, t)
         rhs = scale * phased_product(b, a_prime, t).matrix
         assert np.linalg.norm(lhs - rhs) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# one spectral kernel behind the products, A^{it}, A^{1/2} and the channels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 1.0, 3.0])
+def test_spectral_kernel_consistency(t):
+    rng = np.random.default_rng(17)
+    # 1e-11 lies below the support cutoff 1e-10 and 1e-9 above it
+    a = Effect.from_eigensystem(np.array([1e-11, 1e-9, 0.3, 0.7]),
+                                haar_unitary(4, rng))
+    b = helpers.random_effect(rng, 4)
+    decomposition = EffectDecomposition([a, Effect(np.eye(4) - a.matrix)])
+    channel = phased_channel(decomposition, t)
+    for eff, kraus in zip(decomposition.effects, channel.kraus):
+        expected = sqrt_effect(eff).matrix @ effect_power_it(eff, t)
+        assert np.abs(kraus - expected).max() <= 1e-13
+    for left, right in ((a, b), (b, a)):
+        assert np.array_equal(
+            phased_product(left, right, t).matrix,
+            Effect(product_on_selfadjoint(left, right.matrix, t)).matrix,
+        )
