@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 DEFAULT_CEILING = 1e-9
+DEFAULT_COMM_FLOOR = 0.01        # converse: least ‖AB − BA‖_F of a drawn pair
+DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it must give
+DEFAULT_HYPOTHESIS_TOL = 1e-10   # S3: ‖A∘B‖_F at most this counts as A∘B = 0
+DEFAULT_CLUSTER_TOL = 1e-8       # eigenvalues this close share a cluster
+MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
 DEFAULT_DIMS = (2, 3, 4, 6)
 
 GENERATOR_KINDS = (
@@ -216,7 +221,7 @@ def _fro(m) -> float:
 
 
 def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
-               directions=None, max_attempt_factor=10) -> CheckReport:
+               directions=None) -> CheckReport:
     """Drive trials until `trials` samples executed or attempts are exhausted.
 
     ``trial_fn(rng, dim, i)`` returns None when the trial's hypothesis was
@@ -238,7 +243,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
     worst_witness: Optional[dict] = None
     fail_witness: Optional[dict] = None
     exc_witness: Optional[dict] = None
-    while executed < trials and attempts < trials * max_attempt_factor:
+    while executed < trials and attempts < trials * MAX_ATTEMPT_FACTOR:
         i = attempts
         attempts += 1
         dim = dims[(i // 2) % len(dims)]
@@ -320,7 +325,7 @@ def check_s2(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
 
 def check_s3(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING,
-             hypothesis_tol: float = 1e-10,
+             hypothesis_tol: float = DEFAULT_HYPOTHESIS_TOL,
              generators=("kernel_disjoint", "generic")) -> CheckReport:
     """S3: A∘B = 0 implies B∘A = 0.
 
@@ -403,8 +408,8 @@ def check_s5(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
 
 def check_commutativity_theorem(
     put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
-    seed: int = 0, comm_floor: float = 0.01,
-    ceiling: float = DEFAULT_CEILING, separation_floor: float = 1e-6,
+    seed: int = 0, comm_floor: float = DEFAULT_COMM_FLOOR,
+    ceiling: float = DEFAULT_CEILING, separation_floor: float = DEFAULT_SEPARATION_FLOOR,
 ) -> CheckReport:
     """Both directions of the commutativity criterion A∘B = B∘A ⇔ AB = BA.
 
@@ -451,9 +456,9 @@ def check_commutativity_theorem(
 def run_axiom_suite(put: ProductUnderTest, *, trials: int = 1000,
                     dims=DEFAULT_DIMS, seed: int = 0,
                     ceiling: float = DEFAULT_CEILING,
-                    comm_floor: float = 0.01,
-                    separation_floor: float = 1e-6,
-                    hypothesis_tol: float = 1e-10) -> list[CheckReport]:
+                    comm_floor: float = DEFAULT_COMM_FLOOR,
+                    separation_floor: float = DEFAULT_SEPARATION_FLOOR,
+                    hypothesis_tol: float = DEFAULT_HYPOTHESIS_TOL) -> list[CheckReport]:
     """All five axiom checks plus the commutativity criterion."""
     return [
         check_s1(put, trials=trials, dims=dims, seed=seed, ceiling=ceiling),
@@ -473,7 +478,7 @@ def run_axiom_suite(put: ProductUnderTest, *, trials: int = 1000,
 # Projector recovery by interpolation
 # ---------------------------------------------------------------------------
 
-def distinct_spectrum(b: Effect, cluster_tol: float = 1e-8) -> np.ndarray:
+def distinct_spectrum(b: Effect, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
     """Distinct eigenvalues of the effect, clustered within cluster_tol.
 
     Eigenvalues at or below the support cutoff are treated as exactly zero
@@ -492,7 +497,7 @@ def distinct_spectrum(b: Effect, cluster_tol: float = 1e-8) -> np.ndarray:
     return np.array(reps)
 
 
-def projector_interpolation(b: Effect, k: int, *, cluster_tol: float = 1e-8,
+def projector_interpolation(b: Effect, k: int, *, cluster_tol: float = DEFAULT_CLUSTER_TOL,
                             node_tol: float = 1e-10) -> np.ndarray:
     """Recover the k-th spectral projector of B from the matrix B^{1/2}B^{-i}.
 

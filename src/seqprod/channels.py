@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .effects import Effect, ValidationError, sqrt_effect
-from .effects import DensityOperator
+from .effects import DensityOperator, Effect, ValidationError, sqrt_effect
 from .linalg import hermitize
 
 __all__ = [
@@ -49,7 +48,8 @@ class QuantumChannel:
 
     ``trace_preserving`` is detected at construction from the Gram sum
     Σ K†K; channels that are not trace-preserving must still be
-    trace-non-increasing (Σ K†K <= I within tolerance).
+    trace-non-increasing (Σ K†K <= I within ``tp_tol``, which the channel
+    keeps).
     """
 
     def __init__(self, kraus, label: str = "", *,
@@ -82,6 +82,7 @@ class QuantumChannel:
         self.kraus = tuple(ops)
         self.dim = dim
         self.label = label
+        self.tp_tol = tp_tol
 
     def __repr__(self) -> str:
         return (f"QuantumChannel(label={self.label!r}, dim={self.dim}, "
@@ -111,7 +112,7 @@ class EffectDecomposition:
         self.effects = effects
         self.dim = dim
         self.sum_deviation = deviation
-        self._sum_tol = sum_tol
+        self.sum_tol = sum_tol
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -137,12 +138,16 @@ def phased_channel(decomposition, t: float = 1.0) -> QuantumChannel:
              for e in decomposition.effects]
     return QuantumChannel(
         kraus, label=f"phased(t={t:g})",
-        require_trace_preserving=True, tp_tol=decomposition._sum_tol,
+        require_trace_preserving=True, tp_tol=decomposition.sum_tol,
     )
 
 
 def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Σ K ρ K† for a trace-preserving channel."""
+    """Σ K ρ K† for a trace-preserving channel.
+
+    The output trace is checked at the channel's ``tp_tol``, since
+    |tr Φ(ρ) − 1| <= ‖Σ K†K − I‖_op <= tp_tol.
+    """
     if not channel.trace_preserving:
         raise ValidationError(
             "channel is not trace-preserving; use apply_operation for "
@@ -151,7 +156,7 @@ def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOpera
     if rho.dim != channel.dim:
         raise ValidationError(f"dimension mismatch: {channel.dim} vs {rho.dim}")
     out = sum(k @ rho.matrix @ k.conj().T for k in channel.kraus)
-    return DensityOperator(out)
+    return DensityOperator(out, trace_tol=channel.tp_tol)
 
 
 def apply_operation(channel: QuantumChannel, operator) -> np.ndarray:

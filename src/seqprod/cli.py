@@ -20,12 +20,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .axioms import (
-    CheckReport,
     InsufficientSamples,
     ProductUnderTest,
     find_nonuniqueness_witness,
@@ -53,14 +52,14 @@ EXIT_NO_WITNESS = 4
 
 SEED_ENV_VAR = "SEQPROD_SEED"
 
-# Tolerances adjustable through repeated --tol name=value flags.
-TOLERANCE_DEFAULTS = {
-    "defect": 1e-9,        # axiom-check failure ceiling
-    "separation": 1e-6,    # commutativity converse: minimum product gap
-    "comm_floor": 0.01,    # commutativity converse: commutator floor
-    "gap": 0.01,           # non-uniqueness witness threshold
-    "hypothesis": 1e-10,   # S3 hypothesis tolerance
-    "decomp": 1e-8,        # decomposition sum-to-identity tolerance
+# The --tol names each subcommand reads, mapped to the keyword of the library
+# call they feed.  Only overridden values are passed, so the library's
+# defaults are the only defaults.
+TOL_KEYWORDS = {
+    "axioms": {"defect": "ceiling", "separation": "separation_floor",
+               "comm_floor": "comm_floor", "hypothesis": "hypothesis_tol"},
+    "nonuniqueness": {"gap": "gap_threshold"},
+    "channel": {"decomp": "sum_tol"},
 }
 
 
@@ -70,19 +69,7 @@ class RunConfig:
     trials: int
     seed: int
     t_values: list[float]
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-
-    def tol(self, name: str) -> float:
-        return self.tolerance_overrides.get(name, TOLERANCE_DEFAULTS[name])
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "seed": self.seed,
-            "t_values": list(self.t_values),
-            "tolerance_overrides": dict(self.tolerance_overrides),
-        }
+    tolerance_overrides: dict[str, float]
 
 
 def _parse_csv_ints(text: str) -> list[int]:
@@ -105,21 +92,32 @@ def _parse_csv_floats(text: str) -> list[float]:
     return values
 
 
-def _parse_tolerances(pairs) -> dict[str, float]:
+def _parse_tolerances(args) -> dict[str, float]:
+    """The --tol overrides by name; a name the subcommand does not read is an error."""
+    names = TOL_KEYWORDS[args.command]
     overrides: dict[str, float] = {}
-    for pair in pairs or ():
+    for pair in args.tol or ():
         name, sep, value = pair.partition("=")
         if not sep:
             raise ValidationError(f"--tol expects name=value, got {pair!r}")
-        if name not in TOLERANCE_DEFAULTS:
+        if name not in names:
             raise ValidationError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(TOLERANCE_DEFAULTS))}"
+                f"{args.command} reads no tolerance {name!r}; "
+                f"its names: {', '.join(sorted(names))}"
             )
         try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise ValidationError(f"--tol {name}: {exc}") from exc
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValidationError(f"--tol {name} must be a finite real >= 0, got {value!r}")
+        overrides[name] = tol
     return overrides
+
+
+def _tol_kwargs(args, overrides: dict[str, float]) -> dict[str, float]:
+    """The overrides keyed by the library keyword each name feeds."""
+    return {TOL_KEYWORDS[args.command][name]: v for name, v in overrides.items()}
 
 
 def _resolve_seed(args) -> int:
@@ -133,12 +131,14 @@ def _resolve_seed(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
     return RunConfig(
         dims=_parse_csv_ints(args.dims),
         trials=args.trials,
         seed=_resolve_seed(args),
         t_values=_parse_csv_floats(args.t),
-        tolerance_overrides=_parse_tolerances(args.tol),
+        tolerance_overrides=_parse_tolerances(args),
     )
 
 
@@ -162,10 +162,6 @@ def _emit(args, payload) -> None:
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _report_dicts(reports: list[CheckReport]) -> list[dict]:
-    return [r.to_dict() for r in reports]
 
 
 def _raw_matrix_product(a: Effect, b: Effect) -> Effect:
@@ -193,42 +189,32 @@ def cmd_product(args) -> int:
     a = _load_effect(args.a_file)
     b = _load_effect(args.b_file)
     t = _single_t(args)
-    if args.form == "luders":
-        result = luders_product(a, b)
-    else:
-        result = phased_product(a, b, t)
+    result = luders_product(a, b) if args.form == "luders" else phased_product(a, b, t)
     _emit(args, matrix_to_document(result.matrix))
     return EXIT_OK
 
 
 def cmd_axioms(args) -> int:
     config = _config_from_args(args)
+    tols = _tol_kwargs(args, config.tolerance_overrides)
     groups = []
     all_passed = True
     for t in config.t_values if args.product == "phased" else [None]:
         put = _product_under_test(args.product, t)
-        reports = run_axiom_suite(
-            put,
-            trials=config.trials,
-            dims=tuple(config.dims),
-            seed=config.seed,
-            ceiling=config.tol("defect"),
-            comm_floor=config.tol("comm_floor"),
-            separation_floor=config.tol("separation"),
-            hypothesis_tol=config.tol("hypothesis"),
-        )
+        reports = run_axiom_suite(put, trials=config.trials, dims=tuple(config.dims),
+                                  seed=config.seed, **tols)
         failed = sum(r.failures for r in reports)
         all_passed = all_passed and failed == 0
         groups.append({
             "label": put.label,
             "t": t,
             "failures": failed,
-            "reports": _report_dicts(reports),
+            "reports": [r.to_dict() for r in reports],
         })
     _emit(args, {
         "command": "axioms",
         "product": args.product,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "groups": groups,
         "all_passed": all_passed,
     })
@@ -242,12 +228,12 @@ def cmd_nonuniqueness(args) -> int:
         dims=tuple(config.dims),
         t_values=tuple(config.t_values),
         seed=config.seed,
-        gap_threshold=config.tol("gap"),
         commuting_only=(args.kind == "commuting"),
+        **_tol_kwargs(args, config.tolerance_overrides),
     )
     _emit(args, {
         "command": "nonuniqueness",
-        "config": config.to_dict(),
+        "config": asdict(config),
         "kind": args.kind,
         **result,
     })
@@ -256,23 +242,21 @@ def cmd_nonuniqueness(args) -> int:
 
 def cmd_channel(args) -> int:
     t = _single_t(args)
-    sum_tol = _parse_tolerances(args.tol).get("decomp", TOLERANCE_DEFAULTS["decomp"])
+    tols = _tol_kwargs(args, _parse_tolerances(args))
     docs = _load_json(args.decomposition_file)
     if not isinstance(docs, list):
         raise ValidationError("decomposition file must be a JSON array of matrix documents")
     effects = [Effect(document_to_matrix(doc)) for doc in docs]
-    decomposition = EffectDecomposition(effects, sum_tol=sum_tol)
+    decomposition = EffectDecomposition(effects, **tols)
     rho = DensityOperator(document_to_matrix(_load_json(args.rho_file)))
     channel = phased_channel(decomposition, t)
     out = apply_channel(channel, rho)
-    choi = choi_matrix(channel)
-    min_eig = float(np.linalg.eigvalsh(choi)[0])
     _emit(args, {
         "command": "channel",
         "t": t,
         "output": matrix_to_document(out.matrix),
         "trace": float(np.trace(out.matrix).real),
-        "min_choi_eigenvalue": min_eig,
+        "min_choi_eigenvalue": float(np.linalg.eigvalsh(choi_matrix(channel))[0]),
     })
     return EXIT_OK
 
@@ -285,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, trials=None, dims=None, tol=True):
+    def common(p, func, *, trials=None, dims=None, tol_names=None):
+        p.set_defaults(func=func)
         if trials is not None:
             p.add_argument("--seed", type=int, default=0,
                            help=f"RNG seed (overridden by ${SEED_ENV_VAR})")
@@ -293,34 +278,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dims", default=dims, help="csv of dimensions")
         p.add_argument("--t", default="1", help="csv of phase parameters")
         p.add_argument("--json-out", default=None, help="also write the JSON here")
-        if tol:
+        if tol_names:
             p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                            help="override a tolerance (repeatable); names: "
-                                + ", ".join(sorted(TOLERANCE_DEFAULTS)))
+                                + ", ".join(sorted(tol_names)))
 
     p = sub.add_parser("product", help="product of two effects from files")
     p.add_argument("a_file")
     p.add_argument("b_file")
     p.add_argument("--form", choices=("luders", "phased"), default="phased")
-    common(p, tol=False)
-    p.set_defaults(func=cmd_product)
+    common(p, cmd_product)
 
     p = sub.add_parser("axioms", help="run the S1-S5 suite plus the commutativity check")
     p.add_argument("--product", choices=("luders", "phased", "raw"), default="phased",
                    help="'raw' is a deliberately broken product for failure-path tests")
-    common(p, trials=1000, dims="2,3,4,6")
-    p.set_defaults(func=cmd_axioms)
+    common(p, cmd_axioms, trials=1000, dims="2,3,4,6", tol_names=TOL_KEYWORDS["axioms"])
 
     p = sub.add_parser("nonuniqueness", help="search for a phased-vs-Lüders witness")
     p.add_argument("--kind", choices=("generic", "commuting"), default="generic")
-    common(p, trials=100, dims="2")
-    p.set_defaults(func=cmd_nonuniqueness)
+    common(p, cmd_nonuniqueness, trials=100, dims="2",
+           tol_names=TOL_KEYWORDS["nonuniqueness"])
 
     p = sub.add_parser("channel", help="apply a phased channel built from a decomposition")
     p.add_argument("decomposition_file")
     p.add_argument("rho_file")
-    common(p)
-    p.set_defaults(func=cmd_channel)
+    common(p, cmd_channel, tol_names=TOL_KEYWORDS["channel"])
 
     return parser
 

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     SpectralDecomposition,
     hermitian_eig,
     hermitize,
@@ -47,8 +48,13 @@ __all__ = [
     "product_on_selfadjoint",
 ]
 
-# Admissible excursion of an effect's spectrum outside [0, 1] at validation.
+# Admissible excursion of an effect's spectrum outside [0, 1], and of a
+# projection's spectrum from {0, 1}, at validation.
 SPECTRUM_TOL = 1e-10
+IDEMPOTENCE_TOL = 1e-11  # admissible ‖P² − P‖_F of a projection
+# Admissible excursion outside [0, 1] of the argument of f_z and of the
+# spectrum of the 2x2 operand of closed_form_2d.
+DOMAIN_SLACK = 1e-12
 # Eigenvalues <= SUPPORT_CUTOFF_SCALE * max(1, ‖A‖_op) count as zero.
 SUPPORT_CUTOFF_SCALE = 1e-10
 
@@ -63,7 +69,7 @@ class ValidationError(ValueError):
 
 def f_z(z: complex, u: float) -> complex:
     """exp(z·ln u) for u in (0, 1], and exactly 0 at u = 0."""
-    if not (math.isfinite(u) and -1e-12 <= u <= 1.0 + 1e-12):
+    if not (math.isfinite(u) and -DOMAIN_SLACK <= u <= 1.0 + DOMAIN_SLACK):
         raise DomainError(f"u = {u!r} lies outside [0, 1]")
     u = min(max(float(u), 0.0), 1.0)
     if u == 0.0:
@@ -90,26 +96,24 @@ class Effect:
     decomposition: SpectralDecomposition
     support_cutoff: float
 
-    def __init__(self, matrix, *, spectrum_tol: float = SPECTRUM_TOL):
+    def __init__(self, matrix):
         m = hermitize(matrix)
         dec = hermitian_eig(m)
-        self._finish(m, dec.eigenvalues, dec.eigenvectors, spectrum_tol)
+        self._finish(m, dec.eigenvalues, dec.eigenvectors)
 
-    def _finish(self, m, w, v, tol):
+    def _finish(self, m, w, v):
         lo, hi = float(w[0]), float(w[-1])
-        if lo < -tol or hi > 1.0 + tol:
+        if lo < -SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
             raise ValidationError(
                 f"effect spectrum [{lo:.6e}, {hi:.6e}] escapes [0, 1] "
-                f"by more than {tol:g}"
+                f"by more than {SPECTRUM_TOL:g}"
             )
         self.matrix = m
         self.decomposition = SpectralDecomposition(np.clip(w, 0.0, 1.0), v)
         self.support_cutoff = SUPPORT_CUTOFF_SCALE * max(1.0, abs(lo), abs(hi))
 
     @staticmethod
-    def from_eigensystem(
-        eigenvalues, eigenvectors, *, spectrum_tol: float = SPECTRUM_TOL
-    ) -> "Effect":
+    def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
         """Build an effect from a known eigensystem, skipping re-decomposition."""
         w = np.asarray(eigenvalues, dtype=np.float64)
         v = np.asarray(eigenvectors, dtype=np.complex128)
@@ -126,7 +130,7 @@ class Effect:
         w = w[order]
         v = v[:, order]
         eff = object.__new__(Effect)
-        eff._finish(hermitize((v * w) @ v.conj().T), w, v, spectrum_tol)
+        eff._finish(hermitize((v * w) @ v.conj().T), w, v)
         return eff
 
     @property
@@ -161,29 +165,30 @@ class Effect:
 
 
 class Projection(Effect):
-    """Sharp effect: idempotent, spectrum within 1e-10 of {0, 1}."""
+    """Sharp effect: idempotent, spectrum within SPECTRUM_TOL of {0, 1}."""
 
-    def __init__(self, matrix, *, idem_tol: float = 1e-11,
-                 spectrum_tol: float = SPECTRUM_TOL):
-        super().__init__(matrix, spectrum_tol=spectrum_tol)
+    def __init__(self, matrix):
+        super().__init__(matrix)
         w = self.decomposition.eigenvalues
-        if float(np.abs(w - np.rint(w)).max()) > 1e-10:
-            raise ValidationError("projection spectrum is not within 1e-10 of {0, 1}")
+        if float(np.abs(w - np.rint(w)).max()) > SPECTRUM_TOL:
+            raise ValidationError(
+                f"projection spectrum is not within {SPECTRUM_TOL:g} of {{0, 1}}"
+            )
         m = self.matrix
         idem = float(np.linalg.norm(m @ m - m))
-        if idem > idem_tol:
+        if idem > IDEMPOTENCE_TOL:
             raise ValidationError(f"matrix is not idempotent (‖P²−P‖ = {idem:.3e})")
 
 
 class DensityOperator:
     """Positive semidefinite matrix of unit trace."""
 
-    def __init__(self, matrix, *, psd_tol: float = 1e-10, trace_tol: float = 1e-10):
+    def __init__(self, matrix, *, trace_tol: float = 1e-10):
         m = hermitize(matrix)
         dec = hermitian_eig(m)
-        if float(dec.eigenvalues[0]) < -psd_tol:
+        if float(dec.eigenvalues[0]) < -PSD_TOL:
             raise ValidationError(
-                f"density operator has eigenvalue {dec.eigenvalues[0]:.3e} < -{psd_tol:g}"
+                f"density operator has eigenvalue {dec.eigenvalues[0]:.3e} < -{PSD_TOL:g}"
             )
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > trace_tol:
@@ -275,7 +280,7 @@ def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,
     spectrum = np.linalg.eigvalsh(
         np.array([[x, y], [y.conjugate(), z]], dtype=np.complex128)
     )
-    if spectrum[0] < -1e-12 or spectrum[-1] > 1.0 + 1e-12:
+    if spectrum[0] < -DOMAIN_SLACK or spectrum[-1] > 1.0 + DOMAIN_SLACK:
         raise DomainError(
             f"[[x, y], [ȳ, z]] is not an effect "
             f"(spectrum [{spectrum[0]:.3e}, {spectrum[-1]:.3e}])"

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 
+PSD_TOL = 1e-10  # admissible negative eigenvalue of a positive semidefinite matrix
+
+
 class NonConvergence(RuntimeError):
     """The eigensolver failed to converge (pathological input)."""
 
@@ -115,7 +118,7 @@ def operator_norm(matrix) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def is_psd(matrix, tol: float = 1e-10) -> bool:
+def is_psd(matrix, tol: float = PSD_TOL) -> bool:
     """True iff the smallest eigenvalue of the Hermitian part is >= -tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")

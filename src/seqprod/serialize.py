@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .effects import ValidationError
-from .linalg import hermitize
+from .linalg import hermitize, is_hermitian
 
 __all__ = [
     "dumps",
@@ -92,12 +92,12 @@ def matrix_to_document(matrix) -> dict:
     return {"dim": n, "entries": entries}
 
 
-def document_to_matrix(doc, *, hermiticity_tol: float = 1e-8) -> np.ndarray:
+def document_to_matrix(doc) -> np.ndarray:
     """Parse a matrix document into a symmetrized Hermitian matrix.
 
-    Rejects documents whose entries drift from Hermiticity by more than
-    ``hermiticity_tol · max(1, ‖M‖_F)``; smaller drift is absorbed by
-    symmetrization, which is exact on already-Hermitian input.
+    Rejects documents that fail :func:`seqprod.linalg.is_hermitian`; smaller
+    drift is absorbed by symmetrization, which is exact on already-Hermitian
+    input.
     """
     if not isinstance(doc, dict):
         raise ValidationError("matrix document must be a JSON object")
@@ -122,9 +122,6 @@ def document_to_matrix(doc, *, hermiticity_tol: float = 1e-8) -> np.ndarray:
             raise ValidationError(f"entry {idx} is not finite")
         flat[idx] = complex(re, im)
     m = flat.reshape(dim, dim)
-    drift = float(np.linalg.norm(m - m.conj().T))
-    if drift > hermiticity_tol * max(1.0, float(np.linalg.norm(m))):
-        raise ValidationError(
-            f"matrix document is not Hermitian (‖M − M†‖_F = {drift:.3e})"
-        )
+    if not is_hermitian(m):
+        raise ValidationError("matrix document is not Hermitian")
     return hermitize(m)

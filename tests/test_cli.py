@@ -1,11 +1,12 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from seqprod import Effect
-from seqprod.cli import main
+from seqprod import Effect, find_nonuniqueness_witness, haar_unitary, run_axiom_suite
+from seqprod.cli import TOL_KEYWORDS, main
 from seqprod.serialize import document_to_matrix, dumps, matrix_to_document
 
 import helpers
@@ -124,7 +125,8 @@ def test_product_and_channel_reject_flags_they_do_not_read(tmp_path, capsys):
     d_file.write_text(dumps([matrix_to_document(np.eye(2))]))
     rho_file = write_doc(tmp_path / "rho.json", np.eye(2) / 2)
     assert main(["channel", str(d_file), rho_file, "--trials", "3"]) == 2
-    capsys.readouterr()
+    assert main(["channel", str(d_file), rho_file, "--tol", "defect=1"]) == 2
+    assert "its names: decomp" in capsys.readouterr().err
 
 
 def test_json_out_writes_same_bytes(tmp_path, capsys):
@@ -198,6 +200,52 @@ def test_tol_override_flag(capsys):
     assert main(["axioms", "--trials", "5", "--dims", "2",
                  "--tol", "bogus=1"]) == 2
     capsys.readouterr()
+    # a name another subcommand reads is rejected too
+    assert main(["axioms", "--trials", "5", "--dims", "2", "--tol", "gap=5"]) == 2
+    assert "its names: comm_floor, defect, hypothesis, separation" in capsys.readouterr().err
+    assert main(["nonuniqueness", "--trials", "5", "--tol", "decomp=1"]) == 2
+    assert "its names: gap" in capsys.readouterr().err
+
+
+def test_tol_defaults_are_forwarded_not_restated(capsys):
+    # every --tol name set to the default of the keyword it feeds must
+    # reproduce the run without --tol
+    def run(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def at_defaults(command, library_call):
+        params = inspect.signature(library_call).parameters
+        return [arg for name, keyword in TOL_KEYWORDS[command].items()
+                for arg in ("--tol", f"{name}={params[keyword].default!r}")]
+
+    argv = ["axioms", "--trials", "20", "--dims", "2,3"]
+    plain = run(argv)
+    forwarded = run(argv + at_defaults("axioms", run_axiom_suite))
+    assert len(forwarded["config"]["tolerance_overrides"]) == 4
+    assert dumps(forwarded["groups"]) == dumps(plain["groups"])
+
+    argv = ["nonuniqueness", "--trials", "20"]
+    plain = run(argv)
+    forwarded = run(argv + at_defaults("nonuniqueness", find_nonuniqueness_witness))
+    assert forwarded.pop("config")["tolerance_overrides"] == {"gap": 0.01}
+    plain.pop("config")
+    assert dumps(forwarded) == dumps(plain)
+
+
+@pytest.mark.parametrize("argv, invariant", [
+    (["nonuniqueness", "--trials", "0"], "--trials must be >= 1"),
+    (["nonuniqueness", "--trials", "-3"], "--trials must be >= 1"),
+    (["axioms", "--trials", "0"], "--trials must be >= 1"),
+    (["axioms", "--trials", "5", "--tol", "defect=nan"], "--tol defect must be a finite"),
+    (["nonuniqueness", "--tol", "gap=inf"], "--tol gap must be a finite"),
+    (["axioms", "--trials", "5", "--tol", "defect=-1"], "--tol defect must be a finite"),
+])
+def test_trials_and_tolerances_out_of_domain_exit_two(argv, invariant, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert invariant in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +327,22 @@ def test_channel_decomp_tolerance_override(tmp_path, capsys):
     assert main(["channel", str(d_file), rho_file, "--tol", "decomp=1e-6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["trace"] - 1.0) <= 1e-12
+
+
+def test_channel_output_trace_checked_at_decomposition_tolerance(tmp_path, capsys):
+    # effects summing to (1 + 2.5e-8)·I at d = 16 (‖Δ‖_F = 1e-7): the output
+    # state's trace is off by 2.5e-8, inside the overridden tolerance
+    rng = np.random.default_rng(5)
+    a = Effect.from_eigensystem(rng.uniform(0.1, 0.9, 16), haar_unitary(16, rng)).matrix
+    d_file = tmp_path / "d.json"
+    d_file.write_text(dumps([matrix_to_document(a),
+                             matrix_to_document((1.0 + 2.5e-8) * np.eye(16) - a)]))
+    rho_file = write_doc(tmp_path / "rho.json", helpers.random_density(rng, 16).matrix)
+    assert main(["channel", str(d_file), rho_file]) == 2
+    assert "identity" in capsys.readouterr().err
+    assert main(["channel", str(d_file), rho_file, "--tol", "decomp=1e-6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["trace"] - 1.0) <= 1e-6
 
 
 def test_usage_error_exits_two(capsys):
