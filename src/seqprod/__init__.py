@@ -36,7 +36,6 @@ from .axioms import (
     CheckReport,
     ClusteredSpectrum,
     EffectGenSpec,
-    InsufficientSamples,
     ProductUnderTest,
     check_commutativity_theorem,
     check_s1,

@@ -5,7 +5,9 @@ The checks accept *any* product implementation through
 failure ceiling (default 1e-9).  Hypotheses that are measure-zero under
 generic sampling (disjoint supports, commuting operands) are produced by
 dedicated structured generators instead of rejection sampling, which would
-essentially never satisfy them in floating point.
+essentially never satisfy them in floating point: S3 draws disjoint-support
+pairs only, and S4, S5 and the forward commutativity direction draw operands
+in a shared eigenbasis.
 
 Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.
@@ -13,12 +15,13 @@ configuration yields identical reports, witnesses included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .effects import (
+    SUPPORT_CUTOFF,
     DomainError,
     Effect,
     Projection,
@@ -30,7 +33,6 @@ from .linalg import NonConvergence, hermitize, operator_norm
 from .serialize import matrix_to_document
 
 __all__ = [
-    "InsufficientSamples",
     "ClusteredSpectrum",
     "EffectGenSpec",
     "GENERATOR_KINDS",
@@ -67,10 +69,6 @@ GENERATOR_KINDS = (
     "kernel_disjoint_pair",
     "near_boundary",
 )
-
-
-class InsufficientSamples(RuntimeError):
-    """Too few trials satisfied the check's hypothesis."""
 
 
 class ClusteredSpectrum(RuntimeError):
@@ -184,40 +182,38 @@ class CheckReport:
 
     ``trials`` counts hypothesis-satisfying executions only; ``witness``
     serializes the inputs of the first exception, else of the worst defect.
-    ``worst_violation`` is the largest measured (finite) defect.
+    ``worst_violation`` is the largest measured (finite) defect.  The fields
+    are declared in report key order, so ``dataclasses.asdict`` is the report.
     """
 
     axiom: str
     trials: int
     failures: int
     worst_violation: float
-    witness: Optional[dict]
     seed: int
-    breakdown: Optional[dict] = field(default=None)
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_violation": self.worst_violation,
-            "seed": self.seed,
-            "witness": self.witness,
-            "breakdown": self.breakdown,
-        }
+    witness: Optional[dict]
+    breakdown: Optional[dict] = None
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _doc(effect_or_matrix) -> dict:
-    m = getattr(effect_or_matrix, "matrix", effect_or_matrix)
-    return matrix_to_document(m)
+def _doc(effect: Effect) -> dict:
+    return matrix_to_document(effect.matrix)
 
 
 def _fro(m) -> float:
     return float(np.linalg.norm(m))
+
+
+def _require_schedule(trials: int, **axes) -> None:
+    """Reject a schedule that would run nothing: trials < 1 or an empty axis."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    for name, values in axes.items():
+        if not values:
+            raise ValidationError(f"{name} must name at least one value")
 
 
 def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
@@ -226,7 +222,9 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
 
     ``trial_fn(rng, dim, i)`` returns None when the trial's hypothesis was
     not met (not a sample), else ``(defect, witness)``: a sample that fails
-    when defect > ceiling, the worst defect's witness being reported.  A
+    when defect > ceiling, the worst defect's witness being reported.  The
+    witness holds the trial's operands as effects; only the one reported is
+    turned into matrix documents, once the run is over.  A
     trial that judges itself returns ``(None, None)`` when it passed and
     ``(None, witness)`` when it failed.  Exceptions raised by the product
     under test count as failures.  The report's witness is the first
@@ -236,6 +234,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
     counts trials and failures per direction.
     """
     dims = tuple(dims)
+    _require_schedule(trials, dims=dims)
     breakdown = {f"{d}_{key}": 0 for d in directions or ()
                  for key in ("trials", "failures")}
     executed = failures = attempts = 0
@@ -274,13 +273,17 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
             direction = directions[i % len(directions)]
             breakdown[f"{direction}_trials"] += 1
             breakdown[f"{direction}_failures"] += failed
+    witness = exc_witness or fail_witness or worst_witness
+    if witness is not None:
+        witness = {key: _doc(value) if isinstance(value, Effect) else value
+                   for key, value in witness.items()}
     return CheckReport(
         axiom=axiom,
         trials=executed,
         failures=failures,
         worst_violation=worst,
-        witness=exc_witness or fail_witness or worst_witness,
         seed=seed,
+        witness=witness,
         breakdown=breakdown or None,
     )
 
@@ -306,7 +309,7 @@ def check_s1(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         defect = _fro(ab.matrix + ac.matrix - put(a, bc).matrix)
         top = float(np.linalg.eigvalsh(ab.matrix + ac.matrix)[-1])
         defect = max(defect, top - 1.0)
-        return defect, {"a": _doc(a), "b": _doc(b), "c": _doc(c)}
+        return defect, {"a": a, "b": b, "c": c}
 
     return _run_check("S1", trials, dims, seed, ceiling, trial)
 
@@ -318,51 +321,29 @@ def check_s2(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         a = _gen_generic(rng, dim)
         ident = Effect(np.eye(dim))
         defect = _fro(put(ident, a).matrix - a.matrix)
-        return defect, {"a": _doc(a)}
+        return defect, {"a": a}
 
     return _run_check("S2", trials, dims, seed, ceiling, trial)
 
 
 def check_s3(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING,
-             hypothesis_tol: float = DEFAULT_HYPOTHESIS_TOL,
-             generators=("kernel_disjoint", "generic")) -> CheckReport:
+             hypothesis_tol: float = DEFAULT_HYPOTHESIS_TOL) -> CheckReport:
     """S3: A∘B = 0 implies B∘A = 0.
 
-    Disjoint-support pairs satisfy the hypothesis by construction; generic
-    pairs are rejection-sampled on ‖A∘B‖ <= hypothesis_tol and almost always
-    skipped.  Raises InsufficientSamples if fewer than 10% of the requested
-    trials produced a hypothesis-satisfying pair.
+    Every trial draws a disjoint-support pair, which satisfies the hypothesis
+    by construction; generic pairs essentially never do, so none are drawn.
+    The defect is ‖B∘A‖_F, unless ‖A∘B‖_F exceeds hypothesis_tol: the pair
+    must give A∘B = 0, so the product's kernel behaviour is then itself at
+    fault and ‖A∘B‖_F is the defect.
     """
-    for g in generators:
-        if g not in ("kernel_disjoint", "generic"):
-            raise ValidationError(f"unknown S3 generator {g!r}")
-    if not generators:
-        raise ValidationError("check_s3 needs at least one generator")
+    def trial(rng, dim, _i):
+        a, b = _gen_kernel_disjoint_pair(rng, dim)
+        forward = _fro(put(a, b).matrix)
+        defect = forward if forward > hypothesis_tol else _fro(put(b, a).matrix)
+        return defect, {"a": a, "b": b}
 
-    def trial(rng, dim, i):
-        kind = generators[i % len(generators)]
-        if kind == "kernel_disjoint":
-            a, b = _gen_kernel_disjoint_pair(rng, dim)
-            forward = _fro(put(a, b).matrix)
-            if forward > hypothesis_tol:
-                # the structured pair must satisfy A∘B = 0; not doing so is
-                # itself a violation of the product's kernel behaviour
-                return forward, {"a": _doc(a), "b": _doc(b)}
-        else:
-            a, b = _gen_generic(rng, dim), _gen_generic(rng, dim)
-            if _fro(put(a, b).matrix) > hypothesis_tol:
-                return None
-        defect = _fro(put(b, a).matrix)
-        return defect, {"a": _doc(a), "b": _doc(b)}
-
-    report = _run_check("S3", trials, dims, seed, ceiling, trial)
-    if report.trials < max(1, trials // 10):
-        raise InsufficientSamples(
-            f"only {report.trials} of {trials} requested trials met the "
-            "S3 hypothesis; use the kernel_disjoint generator directly"
-        )
-    return report
+    return _run_check("S3", trials, dims, seed, ceiling, trial)
 
 
 def check_s4(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
@@ -378,7 +359,7 @@ def check_s4(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         comp = Effect(np.eye(dim) - b.matrix)
         d1 = _fro(put(a, comp).matrix - put(comp, a).matrix)
         d2 = _fro(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
-        return max(d1, d2), {"a": _doc(a), "b": _doc(b), "c": _doc(c)}
+        return max(d1, d2), {"a": a, "b": b, "c": c}
 
     return _run_check("S4", trials, dims, seed, ceiling, trial)
 
@@ -401,7 +382,7 @@ def check_s5(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
         d1 = _fro(put(c, ab).matrix - put(ab, c).matrix)
         s = Effect(a.matrix + b.matrix)
         d2 = _fro(put(c, s).matrix - put(s, c).matrix)
-        return max(d1, d2), {"a": _doc(a), "b": _doc(b), "c": _doc(c)}
+        return max(d1, d2), {"a": a, "b": b, "c": c}
 
     return _run_check("S5", trials, dims, seed, ceiling, trial)
 
@@ -431,7 +412,7 @@ def check_commutativity_theorem(
                 _fro(pab.matrix - pba.matrix),
                 _fro(pab.matrix - a.matrix @ b.matrix),
             )
-            return defect, {"direction": "forward", "a": _doc(a), "b": _doc(b)}
+            return defect, {"direction": "forward", "a": a, "b": b}
         if dim < 2:
             return None  # every pair commutes; the commutator floor is unreachable
         for _ in range(200):
@@ -445,7 +426,7 @@ def check_commutativity_theorem(
         if gap > separation_floor:
             return None, None
         return None, {"direction": "converse", "gap": gap,
-                      "a": _doc(a), "b": _doc(b)}
+                      "a": a, "b": b}
 
     report = _run_check("commutativity", trials, dims, seed, ceiling, trial,
                         directions=("forward", "converse"))
@@ -485,7 +466,7 @@ def distinct_spectrum(b: Effect, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np
     before clustering, matching the product's kernel convention.
     """
     lam = np.where(
-        b.decomposition.eigenvalues > b.support_cutoff,
+        b.decomposition.eigenvalues > SUPPORT_CUTOFF,
         b.decomposition.eigenvalues, 0.0,
     )
     reps = []
@@ -547,6 +528,7 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
     """
     dims = tuple(dims)
     t_values = tuple(float(t) for t in t_values)
+    _require_schedule(trials, dims=dims, t_values=t_values)
     best = None
     first_hit = None
     for i in range(trials):
@@ -568,7 +550,7 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
     theta = None
     if dim == 2:
         lam = a.decomposition.eigenvalues
-        if lam[0] > a.support_cutoff:
+        if lam[0] > SUPPORT_CUTOFF:
             theta = t * (np.log(lam[1]) - np.log(lam[0]))
     return {
         "found": bool(gap > gap_threshold),

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .axioms import (
-    InsufficientSamples,
     ProductUnderTest,
     find_nonuniqueness_witness,
     luders_under_test,
@@ -209,7 +208,7 @@ def cmd_axioms(args) -> int:
             "label": put.label,
             "t": t,
             "failures": failed,
-            "reports": [r.to_dict() for r in reports],
+            "reports": [asdict(r) for r in reports],
         })
     _emit(args, {
         "command": "axioms",
@@ -315,8 +314,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     try:
         return args.func(args)
-    except (ValidationError, DomainError, DecompositionError,
-            InsufficientSamples) as exc:
+    except (ValidationError, DomainError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (NonConvergence, np.linalg.LinAlgError) as exc:

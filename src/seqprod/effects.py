@@ -55,8 +55,9 @@ IDEMPOTENCE_TOL = 1e-11  # admissible ‖P² − P‖_F of a projection
 # Admissible excursion outside [0, 1] of the argument of f_z and of the
 # spectrum of the 2x2 operand of closed_form_2d.
 DOMAIN_SLACK = 1e-12
-# Eigenvalues <= SUPPORT_CUTOFF_SCALE * max(1, ‖A‖_op) count as zero.
-SUPPORT_CUTOFF_SCALE = 1e-10
+# Eigenvalues <= SUPPORT_CUTOFF count as zero.  A validated effect has
+# ‖A‖_op <= 1 + SPECTRUM_TOL, so no scaling by the norm is needed.
+SUPPORT_CUTOFF = 1e-10
 
 
 class DomainError(ValueError):
@@ -94,7 +95,6 @@ class Effect:
 
     matrix: np.ndarray
     decomposition: SpectralDecomposition
-    support_cutoff: float
 
     def __init__(self, matrix):
         m = hermitize(matrix)
@@ -110,7 +110,6 @@ class Effect:
             )
         self.matrix = m
         self.decomposition = SpectralDecomposition(np.clip(w, 0.0, 1.0), v)
-        self.support_cutoff = SUPPORT_CUTOFF_SCALE * max(1.0, abs(lo), abs(hi))
 
     @staticmethod
     def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
@@ -140,7 +139,7 @@ class Effect:
     @property
     def support(self) -> np.ndarray:
         """Projection onto the range of the effect."""
-        return support_projection(self.decomposition, self.support_cutoff)
+        return support_projection(self.decomposition, SUPPORT_CUTOFF)
 
     def _support_weights(self, t: float, *, root: bool = True) -> np.ndarray:
         """√λ·e^{it ln λ} per eigenvalue (e^{it ln λ} alone without ``root``).
@@ -152,7 +151,7 @@ class Effect:
         """
         t = _require_finite(t)
         lam = self.decomposition.eigenvalues
-        mask = lam > self.support_cutoff
+        mask = lam > SUPPORT_CUTOFF
         theta = abs(t) * np.log(lam[mask])
         c, s = np.cos(theta), np.sin(theta)
         phase = c + 1j * s if t >= 0 else c - 1j * s
@@ -185,16 +184,15 @@ class DensityOperator:
 
     def __init__(self, matrix, *, trace_tol: float = 1e-10):
         m = hermitize(matrix)
-        dec = hermitian_eig(m)
-        if float(dec.eigenvalues[0]) < -PSD_TOL:
+        lowest = float(np.linalg.eigvalsh(m)[0])
+        if lowest < -PSD_TOL:
             raise ValidationError(
-                f"density operator has eigenvalue {dec.eigenvalues[0]:.3e} < -{PSD_TOL:g}"
+                f"density operator has eigenvalue {lowest:.3e} < -{PSD_TOL:g}"
             )
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > trace_tol:
             raise ValidationError(f"density operator trace {tr!r} is not 1")
         self.matrix = m
-        self.decomposition = dec
 
     @property
     def dim(self) -> int:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import seqprod.axioms
 from seqprod import (
     CheckReport,
     ClusteredSpectrum,
     Effect,
     EffectGenSpec,
-    InsufficientSamples,
     NonConvergence,
     ProductUnderTest,
     ValidationError,
@@ -144,10 +144,60 @@ def test_numerical_failure_of_product_is_counted(error):
     assert comm.breakdown["min_converse_gap"] is None
 
 
-def test_s3_insufficient_samples_without_structured_generator():
-    with pytest.raises(InsufficientSamples):
-        check_s3(phased_under_test(1.0), trials=40, dims=(3,), seed=2,
-                 generators=("generic",))
+@pytest.mark.parametrize("n", [7, 40])
+def test_s3_runs_each_requested_trial_with_two_products(n):
+    # every trial draws a disjoint-support pair: A∘B, then B∘A, nothing else
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return luders_product(a, b)
+
+    report = check_s3(ProductUnderTest(counted, "counted"), trials=n,
+                      dims=(2, 3, 4), seed=4)
+    assert report.trials == n
+    assert len(calls) == 2 * n
+
+
+def test_s3_holds_for_raw_matrix_product_on_disjoint_supports():
+    # AB = BA = 0 on disjoint supports, so the bare matrix product meets S3
+    put = ProductUnderTest(lambda a, b: Effect(a.matrix @ b.matrix), "raw")
+    report = check_s3(put, trials=200, dims=(2, 3, 4, 6), seed=0)
+    assert report.trials == 200
+    assert report.failures == 0
+
+
+ALL_CHECKS = CHECKS + (check_commutativity_theorem, run_axiom_suite)
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)
+def test_only_the_reported_witness_is_serialized(check, monkeypatch):
+    calls = []
+    original = seqprod.axioms.matrix_to_document
+
+    def counted(matrix):
+        calls.append(None)
+        return original(matrix)
+
+    monkeypatch.setattr(seqprod.axioms, "matrix_to_document", counted)
+    check(phased_under_test(1.0), trials=100, dims=(2, 3), seed=8)
+    assert len(calls) <= 3 * (6 if check is run_axiom_suite else 1)
+
+
+@pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()}],
+                         ids=["trials=0", "trials=-3", "dims=()"])
+def test_schedule_that_runs_nothing_is_rejected(fn, schedule):
+    args = () if fn is find_nonuniqueness_witness else (phased_under_test(1.0),)
+    (name,) = schedule
+    with pytest.raises(ValidationError, match=name):
+        fn(*args, **schedule)
+
+
+def test_nonuniqueness_rejects_empty_t_values():
+    with pytest.raises(ValidationError, match="t_values"):
+        find_nonuniqueness_witness(trials=5, t_values=())
 
 
 def test_run_axiom_suite_shape():

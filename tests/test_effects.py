@@ -90,7 +90,7 @@ def test_projection_validation():
 def test_density_operator_validation():
     with pytest.raises(ValidationError):
         DensityOperator(np.diag([0.7, 0.7]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"eigenvalue -2\.000e-01 < -1e-10"):
         DensityOperator(np.diag([1.2, -0.2]))
     rho = DensityOperator(np.diag([0.3, 0.7]))
     assert rho.dim == 2
