@@ -35,7 +35,6 @@ from .effects import (
 from .axioms import (
     CheckReport,
     ClusteredSpectrum,
-    EffectGenSpec,
     ProductUnderTest,
     check_commutativity_theorem,
     check_s1,
@@ -45,7 +44,11 @@ from .axioms import (
     check_s5,
     distinct_spectrum,
     find_nonuniqueness_witness,
-    gen_effect,
+    gen_commuting_pair,
+    gen_generic,
+    gen_kernel_disjoint_pair,
+    gen_near_boundary,
+    gen_projection,
     haar_unitary,
     luders_under_test,
     phased_under_test,

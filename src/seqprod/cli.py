@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -56,7 +57,7 @@ SEED_ENV_VAR = "SEQPROD_SEED"
 # defaults are the only defaults.
 TOL_KEYWORDS = {
     "axioms": {"defect": "ceiling", "separation": "separation_floor",
-               "comm_floor": "comm_floor", "hypothesis": "hypothesis_tol"},
+               "comm_floor": "comm_floor"},
     "nonuniqueness": {"gap": "gap_threshold"},
     "channel": {"decomp": "sum_tol"},
 }
@@ -306,10 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_t_values(argv: list[str]) -> list[str]:
+    """``--t V`` as ``--t=V`` when V starts like a negative number, which
+    argparse would take for an option string (``-1,0,1``, ``-.5,1``)."""
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] == ["--t"] and re.match(r"-\.?\d", arg):
+            out[-1] = f"--t={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_t_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     try:

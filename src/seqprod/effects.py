@@ -51,6 +51,7 @@ __all__ = [
 # Admissible excursion of an effect's spectrum outside [0, 1], and of a
 # projection's spectrum from {0, 1}, at validation.
 SPECTRUM_TOL = 1e-10
+ORTHONORMALITY_TOL = 1e-8  # admissible ‖V†V − I‖_F / dim in Effect.from_eigensystem
 IDEMPOTENCE_TOL = 1e-11  # admissible ‖P² − P‖_F of a projection
 # Admissible excursion outside [0, 1] of the argument of f_z and of the
 # spectrum of the 2x2 operand of closed_form_2d.
@@ -121,7 +122,7 @@ class Effect:
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
             raise ValidationError("eigensystem contains NaN or Inf")
         gram = float(np.linalg.norm(v.conj().T @ v - np.eye(w.shape[0])))
-        if gram > 1e-8 * w.shape[0]:
+        if gram > ORTHONORMALITY_TOL * w.shape[0]:
             raise ValidationError(
                 f"eigenvector columns are not orthonormal (defect {gram:.3e})"
             )

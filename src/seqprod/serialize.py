@@ -34,10 +34,6 @@ def format_float(x: float) -> str:
 def _emit(obj, out: list, indent: int, level: int) -> None:
     if obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (bool, np.bool_)):
@@ -108,20 +104,20 @@ def document_to_matrix(doc) -> np.ndarray:
         raise ValidationError(f"matrix document missing or malformed field: {exc}") from exc
     if dim < 1:
         raise ValidationError(f"matrix document dim must be >= 1, got {dim}")
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise ValidationError(
-            f"matrix document needs {dim * dim} [re, im] entries, got "
-            f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for idx, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValidationError(f"entry {idx} is not a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValidationError(f"entry {idx} is not finite")
-        flat[idx] = complex(re, im)
-    m = flat.reshape(dim, dim)
-    if not is_hermitian(m):
-        raise ValidationError("matrix document is not Hermitian")
-    return hermitize(m)
+    try:
+        pairs = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix document entries are not [re, im] reals: {exc}") from exc
+    if pairs.shape != (dim * dim, 2):
+        raise ValidationError(f"matrix document needs {dim * dim} [re, im] entries, "
+                              f"got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise ValidationError("matrix document entries are not all finite")
+    m = pairs.view(np.complex128).reshape(dim, dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: checked below
+        if not is_hermitian(m):
+            raise ValidationError("matrix document is not Hermitian")
+        m = hermitize(m)
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix document entries overflow when symmetrized")
+    return m

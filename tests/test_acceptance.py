@@ -13,7 +13,6 @@ import numpy as np
 
 from seqprod import (
     Effect,
-    EffectGenSpec,
     apply_channel,
     check_commutativity_theorem,
     check_s1,
@@ -24,7 +23,8 @@ from seqprod import (
     choi_matrix,
     closed_form_2d,
     effect_power_it,
-    gen_effect,
+    gen_generic,
+    gen_near_boundary,
     haar_unitary,
     hermitian_eig,
     luders_product,
@@ -146,8 +146,8 @@ def test_criterion_5_spectral_calculus_identities():
     rng = np.random.default_rng(55)
     for i in range(1000):
         dim = ACCEPTANCE_DIMS[i % 4]
-        kind = "near_boundary" if i % 5 == 4 else "generic"
-        a = gen_effect(EffectGenSpec(dim=dim, kind=kind, seed=9000 + i))
+        gen = gen_near_boundary if i % 5 == 4 else gen_generic
+        a = gen(np.random.default_rng(9000 + i), dim)
         t = T_SET[i % 5] if i % 2 == 0 else float(rng.uniform(-3.0, 3.0))
         f = effect_power_it(a, t)
         g = effect_power_it(a, -t)

@@ -6,7 +6,6 @@ from seqprod import (
     CheckReport,
     ClusteredSpectrum,
     Effect,
-    EffectGenSpec,
     NonConvergence,
     ProductUnderTest,
     ValidationError,
@@ -18,7 +17,11 @@ from seqprod import (
     check_s5,
     distinct_spectrum,
     find_nonuniqueness_witness,
-    gen_effect,
+    gen_commuting_pair,
+    gen_generic,
+    gen_kernel_disjoint_pair,
+    gen_near_boundary,
+    gen_projection,
     hermitian_eig,
     luders_product,
     luders_under_test,
@@ -35,39 +38,46 @@ import helpers
 # generators
 # ---------------------------------------------------------------------------
 
+GENERATORS = (gen_generic, gen_projection, gen_commuting_pair,
+              gen_kernel_disjoint_pair, gen_near_boundary)
+
+
 def test_gen_projection_is_idempotent():
-    p = gen_effect(EffectGenSpec(dim=2, kind="projection", seed=42))
+    p = gen_projection(np.random.default_rng(42), 2)
     assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= 1e-12
 
 
 def test_gen_commuting_pair_commutes():
-    a, b = gen_effect(EffectGenSpec(dim=3, kind="commuting_pair", seed=42))
+    a, b = gen_commuting_pair(np.random.default_rng(42), 3)
     assert np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) <= 1e-12
 
 
 def test_gen_kernel_disjoint_pair_annihilates():
-    a, b = gen_effect(EffectGenSpec(dim=4, kind="kernel_disjoint_pair", seed=42))
+    a, b = gen_kernel_disjoint_pair(np.random.default_rng(42), 4)
     assert np.linalg.norm(luders_product(a, b).matrix) <= 1e-12
     for t in (-1.0, 0.5, 1.0, 3.0):
         assert np.linalg.norm(phased_product(a, b, t).matrix) <= 1e-12
 
 
 def test_gen_near_boundary_has_exact_zero():
-    e = gen_effect(EffectGenSpec(dim=5, kind="near_boundary", seed=42))
+    e = gen_near_boundary(np.random.default_rng(42), 5)
     raw = np.linalg.eigvalsh(e.matrix)
     assert raw.min() <= 1e-13
 
 
-def test_gen_effect_is_deterministic():
-    s = EffectGenSpec(dim=4, kind="generic", seed=9)
-    assert np.array_equal(gen_effect(s).matrix, gen_effect(s).matrix)
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
+def test_generators_are_deterministic(gen):
+    first, second = (gen(np.random.default_rng(9), 4) for _ in range(2))
+    pairs = zip(first, second) if isinstance(first, tuple) else [(first, second)]
+    for x, y in pairs:
+        assert np.array_equal(x.matrix, y.matrix)
 
 
-def test_gen_effect_rejects_bad_spec():
-    with pytest.raises(ValidationError):
-        gen_effect(EffectGenSpec(dim=0, kind="generic", seed=0))
-    with pytest.raises(ValidationError):
-        gen_effect(EffectGenSpec(dim=2, kind="bogus", seed=0))
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("dim", [0, -2])
+def test_generators_reject_dim_below_one(gen, dim):
+    with pytest.raises(ValidationError, match="dim must be >= 1"):
+        gen(np.random.default_rng(0), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +139,31 @@ def test_broken_product_fails_suite():
     assert comm.breakdown["converse_failures"] == comm.breakdown["converse_trials"] > 0
 
 
-@pytest.mark.parametrize("error", [NonConvergence, np.linalg.LinAlgError])
-def test_numerical_failure_of_product_is_counted(error):
+def _raises(error):
     def diverging(a, b):
         raise error("eigensolver did not converge")
+    return diverging
 
-    put = ProductUnderTest(diverging, "diverging")
+
+def _nan_output(a, b):
+    return Effect(np.full((a.dim, a.dim), np.nan))
+
+
+def _bare_matrix(a, b):
+    return luders_product(a, b).matrix  # an ndarray, not an Effect
+
+
+@pytest.mark.parametrize("product, error", [
+    (_raises(NonConvergence), "eigensolver did not converge"),
+    (_raises(np.linalg.LinAlgError), "eigensolver did not converge"),
+    (_nan_output, "matrix contains NaN or Inf entries"),
+    (_bare_matrix, "'numpy.ndarray' object has no attribute 'matrix'"),
+], ids=["NonConvergence", "LinAlgError", "nan_output", "bare_matrix"])
+def test_numerical_failure_of_product_is_counted(product, error):
+    put = ProductUnderTest(product, "failing")
     s2 = check_s2(put, trials=10, dims=(2, 3), seed=0)
     assert s2.failures == s2.trials == 10
-    assert s2.witness["error"] == "eigensolver did not converge"
+    assert s2.witness["error"] == error
     comm = check_commutativity_theorem(put, trials=10, dims=(2, 3), seed=0)
     assert comm.failures == comm.trials == 10
     assert comm.breakdown["converse_failures"] == 5
@@ -157,6 +183,19 @@ def test_s3_runs_each_requested_trial_with_two_products(n):
                       dims=(2, 3, 4), seed=4)
     assert report.trials == n
     assert len(calls) == 2 * n
+
+
+def test_s3_judges_both_directions_at_the_ceiling():
+    # A∘B = 5e-10·I passes the ceiling at dims 2-4, but then B∘A = 0.5·I:
+    # each pair has one direction of each kind, so every trial fails
+    def lopsided(a, b):
+        forward = np.trace(a.matrix).real > np.trace(b.matrix).real
+        return Effect((5e-10 if forward else 0.5) * np.eye(a.dim))
+
+    report = check_s3(ProductUnderTest(lopsided, "lopsided"), trials=200,
+                      dims=(2, 3, 4, 6), seed=0)
+    assert report.failures == report.trials == 200
+    assert report.worst_violation == pytest.approx(0.5 * np.sqrt(6))
 
 
 def test_s3_holds_for_raw_matrix_product_on_disjoint_supports():

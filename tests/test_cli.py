@@ -54,6 +54,12 @@ def test_document_rejects_non_hermitian_and_malformed():
         document_to_matrix({"entries": []})
     with pytest.raises(ValidationError):
         document_to_matrix({"dim": 1, "entries": [[math.nan, 0]]})
+    with pytest.raises(ValidationError, match="not all finite"):
+        document_to_matrix({"dim": 1, "entries": [[None, 0]]})
+    with pytest.raises(ValidationError, match="not \\[re, im\\] reals"):
+        document_to_matrix({"dim": 1, "entries": [["x", 0]]})
+    with pytest.raises(ValidationError, match="overflow"):
+        document_to_matrix({"dim": 1, "entries": [[1e308, 0]]})
 
 
 def test_dumps_formats_floats_deterministically():
@@ -115,6 +121,11 @@ def test_product_invalid_input_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["product", missing, ok]) == 2
     capsys.readouterr()
+
+    big = tmp_path / "big.json"
+    big.write_text(dumps({"dim": 2, "entries": [[1e308, 0]] * 4}))
+    assert main(["product", str(big), ok]) == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_product_and_channel_reject_flags_they_do_not_read(tmp_path, capsys):
@@ -202,7 +213,9 @@ def test_tol_override_flag(capsys):
     capsys.readouterr()
     # a name another subcommand reads is rejected too
     assert main(["axioms", "--trials", "5", "--dims", "2", "--tol", "gap=5"]) == 2
-    assert "its names: comm_floor, defect, hypothesis, separation" in capsys.readouterr().err
+    assert "its names: comm_floor, defect, separation" in capsys.readouterr().err
+    assert main(["axioms", "--trials", "5", "--dims", "2", "--tol", "hypothesis=1"]) == 2
+    capsys.readouterr()
     assert main(["nonuniqueness", "--trials", "5", "--tol", "decomp=1"]) == 2
     assert "its names: gap" in capsys.readouterr().err
 
@@ -222,7 +235,7 @@ def test_tol_defaults_are_forwarded_not_restated(capsys):
     argv = ["axioms", "--trials", "20", "--dims", "2,3"]
     plain = run(argv)
     forwarded = run(argv + at_defaults("axioms", run_axiom_suite))
-    assert len(forwarded["config"]["tolerance_overrides"]) == 4
+    assert len(forwarded["config"]["tolerance_overrides"]) == 3
     assert dumps(forwarded["groups"]) == dumps(plain["groups"])
 
     argv = ["nonuniqueness", "--trials", "20"]
@@ -231,6 +244,34 @@ def test_tol_defaults_are_forwarded_not_restated(capsys):
     assert forwarded.pop("config")["tolerance_overrides"] == {"gap": 0.01}
     plain.pop("config")
     assert dumps(forwarded) == dumps(plain)
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--trials", "5", "--dims", "2,3", "--t", "-1,0,0.5,1,3"],
+    ["axioms", "--trials", "5", "--dims", "2,3", "--t", "-.5,1"],
+    ["nonuniqueness", "--trials", "10", "--t", "-1,2"],
+])
+def test_t_takes_a_negative_csv_after_a_space(argv, capsys):
+    # argparse would read "-1,0,..." as an option string; the value must be
+    # taken as if written --t=-1,0,...
+    def run(args):
+        code = main(args)
+        return code, capsys.readouterr().out
+
+    i = argv.index("--t")
+    spaced = run(argv)
+    assert spaced == run(argv[:i] + [f"--t={argv[i + 1]}"] + argv[i + 2:])
+    assert json.loads(spaced[1])["config"]["t_values"] == [
+        float(t) for t in argv[i + 1].split(",")]
+
+
+def test_single_t_takes_a_negative_value_after_a_space(tmp_path, capsys):
+    a_file = write_doc(tmp_path / "a.json", np.diag([0.81, 0.25]))
+    b_file = write_doc(tmp_path / "b.json", np.array([[0.5, 0.2], [0.2, 0.5]]))
+    assert main(["product", a_file, b_file, "--t", "-1e-1"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["product", a_file, b_file, "--t=-1e-1"]) == 0
+    assert capsys.readouterr().out == spaced
 
 
 @pytest.mark.parametrize("argv, invariant", [
