@@ -35,7 +35,6 @@ from .effects import (
 from .axioms import (
     CheckReport,
     ClusteredSpectrum,
-    ProductUnderTest,
     check_commutativity_theorem,
     check_s1,
     check_s2,
@@ -50,8 +49,6 @@ from .axioms import (
     gen_near_boundary,
     gen_projection,
     haar_unitary,
-    luders_under_test,
-    phased_under_test,
     projector_interpolation,
     run_axiom_suite,
 )

@@ -1,7 +1,7 @@
 """Randomized verification of the sequential-product axioms.
 
-The checks accept *any* product implementation through
-:class:`ProductUnderTest` and measure defects in Frobenius norm against a
+The checks accept *any* product, a plain function ``(a, b) -> Effect`` on
+effects of equal dimension, and measure defects in Frobenius norm against a
 failure ceiling (default 1e-9).  Hypotheses that are measure-zero under
 generic sampling (disjoint supports, commuting operands) are produced by
 dedicated structured generators instead of rejection sampling, which would
@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .effects import (
-    SUPPORT_CUTOFF,
     Effect,
     Projection,
     ValidationError,
@@ -42,9 +41,6 @@ __all__ = [
     "gen_near_boundary",
     "gen_projection",
     "haar_unitary",
-    "ProductUnderTest",
-    "luders_under_test",
-    "phased_under_test",
     "CheckReport",
     "check_s1",
     "check_s2",
@@ -142,28 +138,10 @@ def gen_near_boundary(rng, dim) -> Effect:
 
 
 # ---------------------------------------------------------------------------
-# Products under test and reports
+# Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductUnderTest:
-    """A candidate sequential product, total on equal-dimension effect pairs."""
-
-    product: Callable[[Effect, Effect], Effect]
-    label: str
-
-    def __call__(self, a: Effect, b: Effect) -> Effect:
-        return self.product(a, b)
-
-
-def luders_under_test() -> ProductUnderTest:
-    return ProductUnderTest(luders_product, "luders")
-
-
-def phased_under_test(t: float) -> ProductUnderTest:
-    return ProductUnderTest(
-        lambda a, b: phased_product(a, b, t), f"phased(t={t:g})"
-    )
+Product = Callable[[Effect, Effect], Effect]  # total on equal-dimension pairs
 
 
 @dataclass
@@ -282,7 +260,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def check_s1(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s1(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S1: B ↦ A∘B is additive, and A∘B + A∘C stays below the identity.
 
@@ -304,7 +282,7 @@ def check_s1(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S1", trials, dims, seed, ceiling, trial)
 
 
-def check_s2(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s2(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S2: I∘A = A."""
     def trial(rng, dim, _i):
@@ -316,7 +294,7 @@ def check_s2(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S2", trials, dims, seed, ceiling, trial)
 
 
-def check_s3(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s3(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S3: A∘B = 0 implies B∘A = 0.
 
@@ -333,7 +311,7 @@ def check_s3(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S3", trials, dims, seed, ceiling, trial)
 
 
-def check_s4(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s4(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S4: if A∘B = B∘A then A∘(I−B) = (I−B)∘A and A∘(B∘C) = (A∘B)∘C.
 
@@ -351,7 +329,7 @@ def check_s4(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S4", trials, dims, seed, ceiling, trial)
 
 
-def check_s5(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s5(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S5: C commuting with A and B commutes with A∘B and with A + B.
 
@@ -373,7 +351,7 @@ def check_s5(put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
 
 
 def check_commutativity_theorem(
-    put: ProductUnderTest, *, trials: int = 1000, dims=DEFAULT_DIMS,
+    put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
     seed: int = 0, comm_floor: float = DEFAULT_COMM_FLOOR,
     ceiling: float = DEFAULT_CEILING, separation_floor: float = DEFAULT_SEPARATION_FLOOR,
 ) -> CheckReport:
@@ -419,7 +397,7 @@ def check_commutativity_theorem(
     return report
 
 
-def run_axiom_suite(put: ProductUnderTest, *, trials: int = 1000,
+def run_axiom_suite(put: Product, *, trials: int = 1000,
                     dims=DEFAULT_DIMS, seed: int = 0,
                     ceiling: float = DEFAULT_CEILING,
                     comm_floor: float = DEFAULT_COMM_FLOOR,
@@ -445,13 +423,10 @@ def run_axiom_suite(put: ProductUnderTest, *, trials: int = 1000,
 def distinct_spectrum(b: Effect, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
     """Distinct eigenvalues of the effect, clustered within cluster_tol.
 
-    Eigenvalues at or below the support cutoff are treated as exactly zero
-    before clustering, matching the product's kernel convention.
+    Eigenvalues at or below the support cutoff are already exactly zero in
+    the effect's decomposition, so the kernel forms one cluster at 0.
     """
-    lam = np.where(
-        b.decomposition.eigenvalues > SUPPORT_CUTOFF,
-        b.decomposition.eigenvalues, 0.0,
-    )
+    lam = b.decomposition.eigenvalues
     reps = []
     start = 0
     for i in range(1, len(lam) + 1):
@@ -533,7 +508,7 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
     theta = None
     if dim == 2:
         lam = a.decomposition.eigenvalues
-        if lam[0] > SUPPORT_CUTOFF:
+        if lam[0] > 0.0:
             theta = t * (np.log(lam[1]) - np.log(lam[0]))
     return {
         "found": bool(gap > gap_threshold),

@@ -16,6 +16,7 @@ Exit codes partition outcomes for CI pipelines:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,13 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .axioms import (
-    ProductUnderTest,
-    find_nonuniqueness_witness,
-    luders_under_test,
-    phased_under_test,
-    run_axiom_suite,
-)
+from .axioms import find_nonuniqueness_witness, run_axiom_suite
 from .channels import (
     DecompositionError,
     EffectDecomposition,
@@ -170,14 +165,6 @@ def _raw_matrix_product(a: Effect, b: Effect) -> Effect:
     return Effect(a.matrix @ b.matrix)
 
 
-def _product_under_test(name: str, t: float | None) -> ProductUnderTest:
-    if name == "luders":
-        return luders_under_test()
-    if name == "phased":
-        return phased_under_test(t)
-    return ProductUnderTest(_raw_matrix_product, "raw")
-
-
 def _single_t(args) -> float:
     t_values = _parse_csv_floats(args.t)
     if len(t_values) != 1:
@@ -197,16 +184,21 @@ def cmd_product(args) -> int:
 def cmd_axioms(args) -> int:
     config = _config_from_args(args)
     tols = _tol_kwargs(args, config.tolerance_overrides)
+    if args.product == "phased":
+        products = [(f"phased(t={t:g})", t, functools.partial(phased_product, t=t))
+                    for t in config.t_values]
+    else:
+        products = [(args.product, None,
+                     luders_product if args.product == "luders" else _raw_matrix_product)]
     groups = []
     all_passed = True
-    for t in config.t_values if args.product == "phased" else [None]:
-        put = _product_under_test(args.product, t)
+    for label, t, put in products:
         reports = run_axiom_suite(put, trials=config.trials, dims=tuple(config.dims),
                                   seed=config.seed, **tols)
         failed = sum(r.failures for r in reports)
         all_passed = all_passed and failed == 0
         groups.append({
-            "label": put.label,
+            "label": label,
             "t": t,
             "failures": failed,
             "reports": [asdict(r) for r in reports],

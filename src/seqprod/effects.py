@@ -15,7 +15,8 @@ eigenbasis of A the product is entrywise
 Eigenvalues at or below the support cutoff are treated as exactly zero.  The
 scalar phase e^{it ln u} oscillates without limit as u → 0, so a hard cutoff
 is the only stable choice; the product is then exact on the support of A and
-annihilates the kernel block.
+annihilates the kernel block.  The cutoff is applied once, when an effect is
+built: its decomposition holds exact zeros there (its matrix is unchanged).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ IDEMPOTENCE_TOL = 1e-11  # admissible ‖P² − P‖_F of a projection
 # Admissible excursion outside [0, 1] of the argument of f_z and of the
 # spectrum of the 2x2 operand of closed_form_2d.
 DOMAIN_SLACK = 1e-12
-# Eigenvalues <= SUPPORT_CUTOFF count as zero.  A validated effect has
-# ‖A‖_op <= 1 + SPECTRUM_TOL, so no scaling by the norm is needed.
+# Eigenvalues <= SUPPORT_CUTOFF become exactly 0 when an effect is built; a
+# validated effect has ‖A‖_op <= 1 + SPECTRUM_TOL, so it needs no norm scaling.
 SUPPORT_CUTOFF = 1e-10
 
 
@@ -90,8 +91,9 @@ class Effect:
     """Hermitian matrix with spectrum in [0, 1].
 
     Instances are immutable by convention and carry their eigendecomposition
-    (eigenvalues clamped to [0, 1]), so repeated products with the same left
-    operand decompose it only once.
+    (eigenvalues clamped to [0, 1], those at or below the support cutoff set
+    to exactly 0), so repeated products with the same left operand decompose
+    it only once.
     """
 
     matrix: np.ndarray
@@ -109,8 +111,9 @@ class Effect:
                 f"effect spectrum [{lo:.6e}, {hi:.6e}] escapes [0, 1] "
                 f"by more than {SPECTRUM_TOL:g}"
             )
+        w = np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
         self.matrix = m
-        self.decomposition = SpectralDecomposition(np.clip(w, 0.0, 1.0), v)
+        self.decomposition = SpectralDecomposition(w, v)
 
     @staticmethod
     def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
@@ -140,19 +143,18 @@ class Effect:
     @property
     def support(self) -> np.ndarray:
         """Projection onto the range of the effect."""
-        return support_projection(self.decomposition, SUPPORT_CUTOFF)
+        return support_projection(self.decomposition, 0.0)
 
     def _support_weights(self, t: float, *, root: bool = True) -> np.ndarray:
         """√λ·e^{it ln λ} per eigenvalue (e^{it ln λ} alone without ``root``).
 
-        The single place where the support cutoff is applied: weights at or
-        below it are exactly 0.  The angle array is built from |t| and the
-        sign applied on the imaginary part, so weights for t and -t are exact
-        complex conjugates bit for bit.
+        Weights of the kernel (eigenvalues exactly 0) are exactly 0.  The
+        angle array is built from |t| and the sign applied on the imaginary
+        part, so weights for t and -t are exact complex conjugates bit for bit.
         """
         t = _require_finite(t)
         lam = self.decomposition.eigenvalues
-        mask = lam > SUPPORT_CUTOFF
+        mask = lam > 0.0
         theta = abs(t) * np.log(lam[mask])
         c, s = np.cos(theta), np.sin(theta)
         phase = c + 1j * s if t >= 0 else c - 1j * s

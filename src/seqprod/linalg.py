@@ -29,6 +29,7 @@ __all__ = [
 
 
 PSD_TOL = 1e-10  # admissible negative eigenvalue of a positive semidefinite matrix
+HERMITICITY_TOL = 1e-8  # admissible ‖M − M†‖_F per unit of max(1, ‖M‖_F)
 
 
 class NonConvergence(RuntimeError):
@@ -52,11 +53,11 @@ def hermitize(matrix) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def is_hermitian(matrix, tol: float = 1e-8) -> bool:
-    """Strict check ``‖M − M†‖_F <= tol · max(1, ‖M‖_F)``."""
+def is_hermitian(matrix) -> bool:
+    """Strict check ``‖M − M†‖_F <= HERMITICITY_TOL · max(1, ‖M‖_F)``."""
     m = _as_square(matrix)
     drift = float(np.linalg.norm(m - m.conj().T))
-    return drift <= tol * max(1.0, float(np.linalg.norm(m)))
+    return drift <= HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m)))
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,9 @@ def operator_norm(matrix) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def is_psd(matrix, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian part is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return bool(np.linalg.eigvalsh(hermitize(matrix))[0] >= -tol)
+def is_psd(matrix) -> bool:
+    """True iff the smallest eigenvalue of the Hermitian part is >= -PSD_TOL."""
+    return bool(np.linalg.eigvalsh(hermitize(matrix))[0] >= -PSD_TOL)
 
 
 def support_projection(decomp: SpectralDecomposition, eps_supp: float) -> np.ndarray:

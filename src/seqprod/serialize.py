@@ -31,7 +31,10 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, out: list, indent: int, level: int) -> None:
+INDENT = "  "  # one nesting level of the written JSON
+
+
+def _emit(obj, out: list, level: int) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, str):
@@ -46,7 +49,7 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
         if not obj:
             out.append("{}")
             return
-        pad = " " * (indent * (level + 1))
+        pad = INDENT * (level + 1)
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -54,30 +57,30 @@ def _emit(obj, out: list, indent: int, level: int) -> None:
             out.append(pad)
             out.append(json.dumps(key))
             out.append(": ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(" " * (indent * level))
+        out.append(INDENT * level)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        pad = " " * (indent * (level + 1))
+        pad = INDENT * (level + 1)
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(" " * (indent * level))
+        out.append(INDENT * level)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj, *, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize to JSON with deterministic 17-digit float formatting."""
     out: list = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out)
 
 
@@ -91,19 +94,20 @@ def matrix_to_document(matrix) -> dict:
 def document_to_matrix(doc) -> np.ndarray:
     """Parse a matrix document into a symmetrized Hermitian matrix.
 
-    Rejects documents that fail :func:`seqprod.linalg.is_hermitian`; smaller
-    drift is absorbed by symmetrization, which is exact on already-Hermitian
-    input.
+    ``dim`` must be a JSON integer and every entry a JSON number (``int`` or
+    ``float``; booleans and strings are rejected).  Rejects documents that
+    fail :func:`seqprod.linalg.is_hermitian`; smaller drift is absorbed by
+    symmetrization, which is exact on already-Hermitian input.
     """
     if not isinstance(doc, dict):
         raise ValidationError("matrix document must be a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix document missing or malformed field: {exc}") from exc
-    if dim < 1:
-        raise ValidationError(f"matrix document dim must be >= 1, got {dim}")
+    except KeyError as exc:
+        raise ValidationError(f"matrix document missing field: {exc}") from exc
+    if type(dim) is not int or dim < 1:
+        raise ValidationError(f"matrix document dim must be an integer >= 1, got {dim!r}")
     try:
         pairs = np.asarray(entries, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -113,6 +117,10 @@ def document_to_matrix(doc) -> np.ndarray:
                               f"got shape {pairs.shape}")
     if not np.isfinite(pairs).all():
         raise ValidationError("matrix document entries are not all finite")
+    kinds = {type(x) for pair in entries for x in pair} - {int, float}
+    if kinds:
+        raise ValidationError("matrix document entries must be JSON numbers, got "
+                              + ", ".join(sorted(k.__name__ for k in kinds)))
     m = pairs.view(np.complex128).reshape(dim, dim)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: checked below
         if not is_hermitian(m):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from seqprod import (
     ClusteredSpectrum,
     Effect,
     NonConvergence,
-    ProductUnderTest,
     ValidationError,
     check_commutativity_theorem,
     check_s1,
@@ -24,9 +25,7 @@ from seqprod import (
     gen_projection,
     hermitian_eig,
     luders_product,
-    luders_under_test,
     phased_product,
-    phased_under_test,
     projector_interpolation,
     run_axiom_suite,
 )
@@ -87,10 +86,16 @@ def test_generators_reject_dim_below_one(gen, dim):
 CHECKS = (check_s1, check_s2, check_s3, check_s4, check_s5)
 
 
+def phased(t):
+    return functools.partial(phased_product, t=t)
+
+
+REAL_PRODUCTS = {"luders": luders_product, "phased(t=1)": phased(1.0),
+                 "phased(t=-2)": phased(-2.0)}
+
+
 @pytest.mark.parametrize("check", CHECKS)
-@pytest.mark.parametrize("put", [luders_under_test(), phased_under_test(1.0),
-                                 phased_under_test(-2.0)],
-                         ids=lambda p: p.label)
+@pytest.mark.parametrize("put", list(REAL_PRODUCTS.values()), ids=list(REAL_PRODUCTS))
 def test_checks_pass_on_real_products(check, put):
     report = check(put, trials=120, dims=(2, 3, 4, 6), seed=101)
     assert report.failures == 0
@@ -99,7 +104,7 @@ def test_checks_pass_on_real_products(check, put):
 
 
 def test_checks_pass_at_dim_one():
-    put = phased_under_test(1.0)
+    put = phased(1.0)
     for check in CHECKS:
         assert check(put, trials=10, dims=(1,), seed=5).failures == 0
     report = check_commutativity_theorem(put, trials=10, dims=(1,), seed=5)
@@ -109,7 +114,7 @@ def test_checks_pass_at_dim_one():
 
 def test_commutativity_both_directions():
     report = check_commutativity_theorem(
-        phased_under_test(1.0), trials=200, dims=(2, 3, 4), seed=11)
+        phased(1.0), trials=200, dims=(2, 3, 4), seed=11)
     assert report.failures == 0
     assert report.breakdown["forward_trials"] == 100
     assert report.breakdown["converse_trials"] == 100
@@ -117,7 +122,7 @@ def test_commutativity_both_directions():
 
 
 def test_reports_are_deterministic():
-    put = phased_under_test(1.0)
+    put = phased(1.0)
     r1 = check_s1(put, trials=40, dims=(2, 3), seed=77)
     r2 = check_s1(put, trials=40, dims=(2, 3), seed=77)
     assert r1 == r2
@@ -131,11 +136,10 @@ def test_broken_product_fails_suite():
     def raw(a, b):
         return Effect(a.matrix @ b.matrix)
 
-    put = ProductUnderTest(raw, "raw")
-    s1 = check_s1(put, trials=60, dims=(3, 4), seed=1)
+    s1 = check_s1(raw, trials=60, dims=(3, 4), seed=1)
     assert s1.failures > 0
     assert "error" in s1.witness
-    comm = check_commutativity_theorem(put, trials=60, dims=(3, 4), seed=1)
+    comm = check_commutativity_theorem(raw, trials=60, dims=(3, 4), seed=1)
     assert comm.breakdown["converse_failures"] == comm.breakdown["converse_trials"] > 0
 
 
@@ -160,11 +164,10 @@ def _bare_matrix(a, b):
     (_bare_matrix, "'numpy.ndarray' object has no attribute 'matrix'"),
 ], ids=["NonConvergence", "LinAlgError", "nan_output", "bare_matrix"])
 def test_numerical_failure_of_product_is_counted(product, error):
-    put = ProductUnderTest(product, "failing")
-    s2 = check_s2(put, trials=10, dims=(2, 3), seed=0)
+    s2 = check_s2(product, trials=10, dims=(2, 3), seed=0)
     assert s2.failures == s2.trials == 10
     assert s2.witness["error"] == error
-    comm = check_commutativity_theorem(put, trials=10, dims=(2, 3), seed=0)
+    comm = check_commutativity_theorem(product, trials=10, dims=(2, 3), seed=0)
     assert comm.failures == comm.trials == 10
     assert comm.breakdown["converse_failures"] == 5
     assert comm.breakdown["min_converse_gap"] is None
@@ -179,7 +182,7 @@ def test_s3_runs_each_requested_trial_with_two_products(n):
         calls.append(None)
         return luders_product(a, b)
 
-    report = check_s3(ProductUnderTest(counted, "counted"), trials=n,
+    report = check_s3(counted, trials=n,
                       dims=(2, 3, 4), seed=4)
     assert report.trials == n
     assert len(calls) == 2 * n
@@ -192,7 +195,7 @@ def test_s3_judges_both_directions_at_the_ceiling():
         forward = np.trace(a.matrix).real > np.trace(b.matrix).real
         return Effect((5e-10 if forward else 0.5) * np.eye(a.dim))
 
-    report = check_s3(ProductUnderTest(lopsided, "lopsided"), trials=200,
+    report = check_s3(lopsided, trials=200,
                       dims=(2, 3, 4, 6), seed=0)
     assert report.failures == report.trials == 200
     assert report.worst_violation == pytest.approx(0.5 * np.sqrt(6))
@@ -200,8 +203,10 @@ def test_s3_judges_both_directions_at_the_ceiling():
 
 def test_s3_holds_for_raw_matrix_product_on_disjoint_supports():
     # AB = BA = 0 on disjoint supports, so the bare matrix product meets S3
-    put = ProductUnderTest(lambda a, b: Effect(a.matrix @ b.matrix), "raw")
-    report = check_s3(put, trials=200, dims=(2, 3, 4, 6), seed=0)
+    def raw(a, b):
+        return Effect(a.matrix @ b.matrix)
+
+    report = check_s3(raw, trials=200, dims=(2, 3, 4, 6), seed=0)
     assert report.trials == 200
     assert report.failures == 0
 
@@ -219,7 +224,7 @@ def test_only_the_reported_witness_is_serialized(check, monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(seqprod.axioms, "matrix_to_document", counted)
-    check(phased_under_test(1.0), trials=100, dims=(2, 3), seed=8)
+    check(phased(1.0), trials=100, dims=(2, 3), seed=8)
     assert len(calls) <= 3 * (6 if check is run_axiom_suite else 1)
 
 
@@ -228,7 +233,7 @@ def test_only_the_reported_witness_is_serialized(check, monkeypatch):
 @pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()}],
                          ids=["trials=0", "trials=-3", "dims=()"])
 def test_schedule_that_runs_nothing_is_rejected(fn, schedule):
-    args = () if fn is find_nonuniqueness_witness else (phased_under_test(1.0),)
+    args = () if fn is find_nonuniqueness_witness else (phased(1.0),)
     (name,) = schedule
     with pytest.raises(ValidationError, match=name):
         fn(*args, **schedule)
@@ -240,7 +245,7 @@ def test_nonuniqueness_rejects_empty_t_values():
 
 
 def test_run_axiom_suite_shape():
-    reports = run_axiom_suite(phased_under_test(0.5), trials=30,
+    reports = run_axiom_suite(phased(0.5), trials=30,
                               dims=(2, 3), seed=3)
     assert [r.axiom for r in reports] == ["S1", "S2", "S3", "S4", "S5",
                                           "commutativity"]

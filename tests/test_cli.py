@@ -60,6 +60,15 @@ def test_document_rejects_non_hermitian_and_malformed():
         document_to_matrix({"dim": 1, "entries": [["x", 0]]})
     with pytest.raises(ValidationError, match="overflow"):
         document_to_matrix({"dim": 1, "entries": [[1e308, 0]]})
+    # dim is a JSON integer, entries are JSON numbers: nothing is coerced
+    for dim in (1.9, "1", True, 1.0):
+        with pytest.raises(ValidationError, match="dim must be an integer >= 1"):
+            document_to_matrix({"dim": dim, "entries": [[0.5, 0]]})
+    for entry in (["0.5", 0], [0.5, False], [True, 0]):
+        with pytest.raises(ValidationError, match="must be JSON numbers"):
+            document_to_matrix({"dim": 1, "entries": [entry]})
+    with pytest.raises(ValidationError):
+        document_to_matrix({"dim": 1.9, "entries": [["0.5", False]]})
 
 
 def test_dumps_formats_floats_deterministically():
@@ -127,6 +136,12 @@ def test_product_invalid_input_exit_codes(tmp_path, capsys):
     assert main(["product", str(big), ok]) == 2
     assert "overflow" in capsys.readouterr().err
 
+    coerced = tmp_path / "coerced.json"
+    coerced.write_text('{"dim": 1, "entries": [["0.5", false]]}')
+    one = write_doc(tmp_path / "one.json", np.eye(1))
+    assert main(["product", str(coerced), one]) == 2
+    assert "JSON numbers" in capsys.readouterr().err
+
 
 def test_product_and_channel_reject_flags_they_do_not_read(tmp_path, capsys):
     a_file = write_doc(tmp_path / "a.json", np.eye(2))
@@ -167,12 +182,15 @@ def test_axioms_exit_zero_and_replay_determinism(capsys):
     assert axioms == ["S1", "S2", "S3", "S4", "S5", "commutativity"]
 
 
-def test_axioms_luders_single_group(capsys):
-    assert main(["axioms", "--product", "luders", "--trials", "20",
-                 "--dims", "2", "--seed", "1"]) == 0
+@pytest.mark.parametrize("flags, labels, code", [
+    (["--product", "luders"], ["luders"], 0),
+    (["--product", "raw"], ["raw"], 3),
+    (["--product", "phased", "--t", "-1,0.5"], ["phased(t=-1)", "phased(t=0.5)"], 0),
+], ids=["luders", "raw", "phased"])
+def test_axioms_luders_single_group(flags, labels, code, capsys):
+    assert main(["axioms", *flags, "--trials", "20", "--dims", "2", "--seed", "1"]) == code
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload["groups"]) == 1
-    assert payload["groups"][0]["label"] == "luders"
+    assert [g["label"] for g in payload["groups"]] == labels
 
 
 def test_axioms_trivial_scalar_config(capsys):

@@ -14,9 +14,11 @@ from seqprod import (
     Projection,
     ValidationError,
     closed_form_2d,
+    distinct_spectrum,
     effect_power_it,
     f_z,
     haar_unitary,
+    hermitian_eig,
     luders_product,
     operator_norm,
     phased_channel,
@@ -77,6 +79,36 @@ def test_effect_clamps_decomposition():
     e = Effect(np.diag([1.0 + 5e-11, -5e-11]))
     w = e.decomposition.eigenvalues
     assert w[0] == 0.0 and w[-1] == 1.0
+
+
+def _built_from_matrix(lam, v):
+    m = (v * lam) @ v.conj().T
+    raw = hermitian_eig(m)
+    snapped = np.where(raw.eigenvalues > 1e-10, raw.eigenvalues, 0.0)
+    return Effect(m), Effect.from_eigensystem(snapped, raw.eigenvectors)
+
+
+def _built_from_eigensystem(lam, v):
+    exact = np.where(lam > 1e-10, lam, 0.0)
+    return Effect.from_eigensystem(lam, v), Effect.from_eigensystem(exact, v)
+
+
+@pytest.mark.parametrize("build", [_built_from_eigensystem, _built_from_matrix],
+                         ids=["from_eigensystem", "matrix"])
+def test_sub_cutoff_eigenvalue_is_snapped_to_exact_zero(build):
+    # 5e-11 lies below the support cutoff 1e-10: the decomposition holds an
+    # exact 0.0 there, and every reader sees the same effect as with a 0
+    rng = np.random.default_rng(29)
+    tiny, zero = build(np.array([5e-11, 0.5, 0.8]), haar_unitary(3, rng))
+    assert tiny.decomposition.eigenvalues[0] == 0.0
+    assert np.array_equal(tiny.decomposition.eigenvalues,
+                          zero.decomposition.eigenvalues)
+    b = helpers.random_effect(rng, 3)
+    for t in (-1.0, 0.0, 1.0):
+        assert np.array_equal(phased_product(tiny, b, t).matrix,
+                              phased_product(zero, b, t).matrix)
+    assert np.array_equal(tiny.support, zero.support)
+    assert np.array_equal(distinct_spectrum(tiny), distinct_spectrum(zero))
 
 
 def test_projection_validation():
