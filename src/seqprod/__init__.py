@@ -16,7 +16,6 @@ from .linalg import (
     is_hermitian,
     is_psd,
     operator_norm,
-    support_projection,
 )
 from .effects import (
     DensityOperator,
@@ -27,6 +26,7 @@ from .effects import (
     closed_form_2d,
     effect_power_it,
     f_z,
+    kraus_operator,
     luders_product,
     phased_product,
     product_on_selfadjoint,

@@ -27,6 +27,8 @@ from .effects import (
     Effect,
     Projection,
     ValidationError,
+    f_z,
+    kraus_operator,
     luders_product,
     phased_product,
 )
@@ -175,10 +177,12 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def _require_schedule(trials: int, **axes) -> None:
-    """Reject a schedule that would run nothing: trials < 1 or an empty axis."""
+def _require_schedule(trials: int, seed: int, **axes) -> None:
+    """Reject trials < 1, a seed < 0 (no RNG takes it) or an empty axis."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     for name, values in axes.items():
         if not values:
             raise ValidationError(f"{name} must name at least one value")
@@ -203,7 +207,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
     counts trials and failures per direction.
     """
     dims = tuple(dims)
-    _require_schedule(trials, dims=dims)
+    _require_schedule(trials, seed, dims=dims)
     breakdown = {f"{d}_{key}": 0 for d in directions or ()
                  for key in ("trials", "failures")}
     executed = failures = attempts = 0
@@ -449,23 +453,20 @@ def projector_interpolation(b: Effect, k: int, *, cluster_tol: float = DEFAULT_C
     m = len(reps)
     if not 0 <= k < m:
         raise IndexError(f"cluster index {k} out of range for {m} clusters")
-    nodes = np.array([
-        np.sqrt(r) * np.exp(-1j * np.log(r)) if r > 0.0 else 0j for r in reps
-    ])
+    nodes = np.array([f_z(0.5 - 1j, r) for r in reps])
     for p in range(m):
         for q in range(p + 1, m):
             if abs(nodes[p] - nodes[q]) < node_tol:
                 raise ClusteredSpectrum(
                     f"interpolation nodes {p} and {q} are closer than {node_tol:g}"
                 )
-    dec = b.decomposition
-    matrix = dec.apply(b._support_weights(-1.0))
-    result = np.eye(dec.dim, dtype=np.complex128)
+    matrix = kraus_operator(b, -1.0)
+    result = np.eye(b.dim, dtype=np.complex128)
     denom = 1.0 + 0j
     for j in range(m):
         if j == k:
             continue
-        result = result @ (matrix - nodes[j] * np.eye(dec.dim))
+        result = result @ (matrix - nodes[j] * np.eye(b.dim))
         denom *= nodes[k] - nodes[j]
     return hermitize(result / denom)
 
@@ -486,7 +487,7 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
     """
     dims = tuple(dims)
     t_values = tuple(float(t) for t in t_values)
-    _require_schedule(trials, dims=dims, t_values=t_values)
+    _require_schedule(trials, seed, dims=dims, t_values=t_values)
     best = None
     first_hit = None
     for i in range(trials):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .effects import DensityOperator, Effect, ValidationError, sqrt_effect
+from .effects import DensityOperator, Effect, ValidationError, kraus_operator
 from .linalg import hermitize
 
 __all__ = [
@@ -123,7 +123,7 @@ def luders_channel(b: Effect) -> QuantumChannel:
 
     Trace-non-increasing in general; trace-preserving only for B = I.
     """
-    return QuantumChannel([sqrt_effect(b).matrix], label="luders")
+    return QuantumChannel([kraus_operator(b, 0.0)], label="luders")
 
 
 def phased_channel(decomposition, t: float = 1.0) -> QuantumChannel:
@@ -134,8 +134,7 @@ def phased_channel(decomposition, t: float = 1.0) -> QuantumChannel:
     """
     if not isinstance(decomposition, EffectDecomposition):
         decomposition = EffectDecomposition(decomposition)
-    kraus = [e.decomposition.apply(e._support_weights(t))
-             for e in decomposition.effects]
+    kraus = [kraus_operator(e, t) for e in decomposition.effects]
     return QuantumChannel(
         kraus, label=f"phased(t={t:g})",
         require_trace_preserving=True, tp_tol=decomposition.sum_tol,
@@ -153,10 +152,7 @@ def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOpera
             "channel is not trace-preserving; use apply_operation for "
             "sub-normalized outputs"
         )
-    if rho.dim != channel.dim:
-        raise ValidationError(f"dimension mismatch: {channel.dim} vs {rho.dim}")
-    out = sum(k @ rho.matrix @ k.conj().T for k in channel.kraus)
-    return DensityOperator(out, trace_tol=channel.tp_tol)
+    return DensityOperator(apply_operation(channel, rho), trace_tol=channel.tp_tol)
 
 
 def apply_operation(channel: QuantumChannel, operator) -> np.ndarray:

@@ -143,8 +143,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
+        raise ValidationError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _load_effect(path: str) -> Effect:
@@ -153,10 +153,13 @@ def _load_effect(path: str) -> Effect:
 
 def _emit(args, payload) -> None:
     text = dumps(payload) + "\n"
-    sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.json_out}: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _raw_matrix_product(a: Effect, b: Effect) -> Effect:

@@ -7,10 +7,9 @@ products are provided:
 * the phased family         ``A ∘_t B = A^{1/2} A^{it} B A^{-it} A^{1/2}``
 
 with ``t = 0`` recovering Lüders through the identical code path.  Both are
-computed from one spectral decomposition of the left operand: in the
-eigenbasis of A the product is entrywise
-
-    (A ∘_t B)_{jk} = sqrt(a_j a_k) · e^{it(ln a_j − ln a_k)} · B̃_{jk}
+computed as A ∘_t S = K S K† from one spectral decomposition of the left
+operand, where K = A^{1/2} A^{it} (:func:`kraus_operator`) is also the Kraus
+operator of the channel the product induces.
 
 Eigenvalues at or below the support cutoff are treated as exactly zero.  The
 scalar phase e^{it ln u} oscillates without limit as u → 0, so a hard cutoff
@@ -31,7 +30,6 @@ from .linalg import (
     SpectralDecomposition,
     hermitian_eig,
     hermitize,
-    support_projection,
 )
 
 __all__ = [
@@ -42,6 +40,7 @@ __all__ = [
     "DensityOperator",
     "f_z",
     "effect_power_it",
+    "kraus_operator",
     "sqrt_effect",
     "luders_product",
     "phased_product",
@@ -143,7 +142,8 @@ class Effect:
     @property
     def support(self) -> np.ndarray:
         """Projection onto the range of the effect."""
-        return support_projection(self.decomposition, 0.0)
+        dec = self.decomposition
+        return dec.apply((dec.eigenvalues > 0.0).astype(np.float64))
 
     def _support_weights(self, t: float, *, root: bool = True) -> np.ndarray:
         """√λ·e^{it ln λ} per eigenvalue (e^{it ln λ} alone without ``root``).
@@ -205,11 +205,6 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
-def _require_same_dim(a: Effect, b) -> None:
-    if a.dim != b.shape[0]:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.shape[0]}")
-
-
 def effect_power_it(a: Effect, t: float) -> np.ndarray:
     """A^{it}: the unitary-on-support phase factor of the effect.
 
@@ -227,20 +222,26 @@ def sqrt_effect(a: Effect) -> Effect:
     )
 
 
-def _sandwich(a: Effect, s: np.ndarray, t: float) -> np.ndarray:
-    """A^{1/2} A^{it} S A^{-it} A^{1/2} for Hermitian S, in A's eigenbasis."""
-    u = a._support_weights(t)
-    _require_same_dim(a, s)
+def kraus_operator(a: Effect, t: float) -> np.ndarray:
+    """K = A^{1/2} A^{it}, zero on A's kernel: A ∘_t S = K S K†, and K is A's
+    Kraus operator in the channel of a decomposition of the identity."""
     v = a.decomposition.eigenvectors
-    s_eig = v.conj().T @ s @ v
-    return v @ (np.outer(u, u.conj()) * s_eig) @ v.conj().T
+    return (v * a._support_weights(t)) @ v.conj().T
+
+
+def _sandwich(a: Effect, s: np.ndarray, t: float) -> np.ndarray:
+    """A^{1/2} A^{it} S A^{-it} A^{1/2} = K S K† for Hermitian S."""
+    k = kraus_operator(a, t)
+    if a.dim != s.shape[0]:
+        raise ValidationError(f"dimension mismatch: {a.dim} vs {s.shape[0]}")
+    return k @ s @ k.conj().T
 
 
 def phased_product(a: Effect, b: Effect, t: float = 1.0) -> Effect:
     """A ∘_t B = A^{1/2} A^{it} B A^{-it} A^{1/2}.
 
-    Computed entrywise in the eigenbasis of A from a single decomposition;
-    t = 0 is the Lüders product through the same code path.
+    Computed as K B K† with K = kraus_operator(a, t) from a single
+    decomposition; t = 0 is the Lüders product through the same code path.
     """
     return Effect(_sandwich(a, b.matrix, t))
 

@@ -24,7 +24,6 @@ __all__ = [
     "apply_spectral_function",
     "operator_norm",
     "is_psd",
-    "support_projection",
 ]
 
 
@@ -123,10 +122,3 @@ def is_psd(matrix) -> bool:
     """True iff the smallest eigenvalue of the Hermitian part is >= -PSD_TOL."""
     return bool(np.linalg.eigvalsh(hermitize(matrix))[0] >= -PSD_TOL)
 
-
-def support_projection(decomp: SpectralDecomposition, eps_supp: float) -> np.ndarray:
-    """Projection onto the span of eigenvectors with eigenvalue > eps_supp."""
-    if float(decomp.eigenvalues[0]) < -eps_supp:
-        raise ValueError("support projection expects a PSD spectrum")
-    weights = (decomp.eigenvalues > eps_supp).astype(np.float64)
-    return decomp.apply(weights)

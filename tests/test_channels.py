@@ -14,6 +14,7 @@ from seqprod import (
     choi_matrix,
     compose,
     dual_apply,
+    kraus_operator,
     luders_channel,
     luders_product,
     phased_channel,
@@ -213,3 +214,15 @@ def test_choi_psd_and_marginal_for_random_channels():
         choi = choi_matrix(ch)
         assert np.linalg.eigvalsh(choi)[0] >= -1e-10
         assert np.abs(choi_input_marginal(choi) - np.eye(dim)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+@pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 1.0, 3.0])
+def test_channels_take_kraus_operator(t, dim):
+    rng = np.random.default_rng(dim)
+    decomposition = helpers.random_effect_decomposition(rng, dim, 3)
+    channel = phased_channel(decomposition, t)
+    for effect, kraus in zip(decomposition.effects, channel.kraus, strict=True):
+        assert np.array_equal(kraus, kraus_operator(effect, t))
+    b = decomposition.effects[0]
+    assert np.array_equal(luders_channel(b).kraus[0], kraus_operator(b, 0.0))

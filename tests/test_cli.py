@@ -155,6 +155,28 @@ def test_product_and_channel_reject_flags_they_do_not_read(tmp_path, capsys):
     assert "its names: decomp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{\x00}\x00", b"1" * 5000],
+                         ids=["utf16", "int-digit-limit"])
+def test_input_that_is_not_utf8_json_exits_two(content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    ok = write_doc(tmp_path / "ok.json", np.eye(2))
+    assert main(["product", str(bad), ok]) == 2
+    captured = capsys.readouterr()
+    assert "not valid UTF-8 JSON" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-parent", "directory"])
+def test_json_out_that_cannot_be_written_exits_two(target, tmp_path, capsys):
+    a_file = write_doc(tmp_path / "a.json", np.eye(2))
+    out_path = str(tmp_path / target)
+    assert main(["product", a_file, a_file, "--json-out", out_path]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out_path}" in captured.err
+    assert captured.out == ""
+
+
 def test_json_out_writes_same_bytes(tmp_path, capsys):
     a_file = write_doc(tmp_path / "a.json", np.eye(2))
     out_path = tmp_path / "result.json"
@@ -304,6 +326,19 @@ def test_trials_and_tolerances_out_of_domain_exit_two(argv, invariant, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert invariant in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["axioms", "--seed", "-1", "--trials", "2"], None),
+    (["nonuniqueness", "--trials", "2"], "-5"),
+], ids=["flag", "env"])
+def test_negative_seed_exits_two(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("SEQPROD_SEED", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0" in captured.err
     assert captured.out == ""
 
 

@@ -19,6 +19,8 @@ from seqprod import (
     f_z,
     haar_unitary,
     hermitian_eig,
+    hermitize,
+    kraus_operator,
     luders_product,
     operator_norm,
     phased_channel,
@@ -418,3 +420,13 @@ def test_spectral_kernel_consistency(t):
             phased_product(left, right, t).matrix,
             Effect(product_on_selfadjoint(left, right.matrix, t)).matrix,
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+@pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 1.0, 3.0])
+def test_product_is_kraus_sandwich(t, dim):
+    rng = np.random.default_rng(dim)
+    a, b = helpers.random_effect(rng, dim), helpers.random_effect(rng, dim)
+    k = kraus_operator(a, t)
+    assert np.array_equal(phased_product(a, b, t).matrix,
+                          hermitize(k @ b.matrix @ k.conj().T))

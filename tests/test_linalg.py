@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqprod import (
+    Effect,
     apply_spectral_function,
     hermitian_eig,
     hermitize,
     is_hermitian,
     is_psd,
     operator_norm,
-    support_projection,
 )
 
 import helpers
@@ -121,16 +121,15 @@ def test_is_psd():
 
 
 def test_support_projection():
-    dec = hermitian_eig(np.diag([0.0, 0.5]))
-    assert np.allclose(support_projection(dec, 1e-10), np.diag([0.0, 1.0]), atol=1e-14)
-    dec = hermitian_eig(np.eye(2))
-    assert np.allclose(support_projection(dec, 1e-10), np.eye(2), atol=1e-14)
+    support = Effect(np.diag([0.0, 0.5])).support
+    assert np.allclose(support, np.diag([0.0, 1.0]), atol=1e-14)
+    assert np.allclose(Effect(np.eye(2)).support, np.eye(2), atol=1e-14)
     # rank-1 effect: oracle is the direct projector formula
     rng = np.random.default_rng(9)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    dec = hermitian_eig(np.outer(v, v.conj()))
-    assert np.abs(support_projection(dec, 1e-10) - np.outer(v, v.conj())).max() < 1e-12
+    support = Effect(np.outer(v, v.conj())).support
+    assert np.abs(support - np.outer(v, v.conj())).max() < 1e-12
 
 
 def test_hermitize_and_strict_validator():
