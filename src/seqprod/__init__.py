@@ -8,7 +8,6 @@ trace-preserving Kraus channels the phased product induces.
 """
 
 from .linalg import (
-    NonConvergence,
     SpectralDecomposition,
     apply_spectral_function,
     hermitian_eig,

@@ -60,6 +60,7 @@ DEFAULT_CEILING = 1e-9
 DEFAULT_COMM_FLOOR = 0.01        # converse: least ‖AB − BA‖_F of a drawn pair
 DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it must give
 DEFAULT_CLUSTER_TOL = 1e-8       # eigenvalues this close share a cluster
+NODE_TOL = 1e-10                 # least distance between interpolation nodes
 MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
 DEFAULT_DIMS = (2, 3, 4, 6)
 
@@ -108,8 +109,8 @@ def gen_projection(rng, dim) -> Projection:
     ones = int(rng.integers(1, dim)) if dim >= 2 else int(rng.integers(0, 2))
     lam = np.zeros(dim)
     lam[rng.permutation(dim)[:ones]] = 1.0
-    mat = Effect.from_eigensystem(lam, haar_unitary(dim, rng)).matrix
-    return Projection(mat)
+    cols = haar_unitary(dim, rng)[:, lam > 0]
+    return Projection(cols @ cols.conj().T)
 
 
 @_generator
@@ -440,8 +441,8 @@ def distinct_spectrum(b: Effect, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np
     return np.array(reps)
 
 
-def projector_interpolation(b: Effect, k: int, *, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                            node_tol: float = 1e-10) -> np.ndarray:
+def projector_interpolation(b: Effect, k: int, *,
+                            cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
     """Recover the k-th spectral projector of B from the matrix B^{1/2}B^{-i}.
 
     Lagrange interpolation through the nodes w_j = b_j^{1/2} e^{-i ln b_j}
@@ -456,9 +457,9 @@ def projector_interpolation(b: Effect, k: int, *, cluster_tol: float = DEFAULT_C
     nodes = np.array([f_z(0.5 - 1j, r) for r in reps])
     for p in range(m):
         for q in range(p + 1, m):
-            if abs(nodes[p] - nodes[q]) < node_tol:
+            if abs(nodes[p] - nodes[q]) < NODE_TOL:
                 raise ClusteredSpectrum(
-                    f"interpolation nodes {p} and {q} are closer than {node_tol:g}"
+                    f"interpolation nodes {p} and {q} are closer than {NODE_TOL:g}"
                 )
     matrix = kraus_operator(b, -1.0)
     result = np.eye(b.dim, dtype=np.complex128)

@@ -39,7 +39,7 @@ TP_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-8
 
 
-class DecompositionError(ValueError):
+class DecompositionError(ValidationError):
     """The supplied effects do not sum to the identity."""
 
 
@@ -155,20 +155,22 @@ def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOpera
     return DensityOperator(apply_operation(channel, rho), trace_tol=channel.tp_tol)
 
 
+def _kraus_sum(kraus, dim: int, operator) -> np.ndarray:
+    """Σ K X K† over the given d x d Kraus operators for any Hermitian X."""
+    x = hermitize(getattr(operator, "matrix", operator))
+    if x.shape[0] != dim:
+        raise ValidationError(f"dimension mismatch: {dim} vs {x.shape[0]}")
+    return hermitize(sum(k @ x @ k.conj().T for k in kraus))
+
+
 def apply_operation(channel: QuantumChannel, operator) -> np.ndarray:
     """Σ K X K† for any Hermitian X; allows trace-non-increasing operations."""
-    x = hermitize(getattr(operator, "matrix", operator))
-    if x.shape[0] != channel.dim:
-        raise ValidationError(f"dimension mismatch: {channel.dim} vs {x.shape[0]}")
-    return hermitize(sum(k @ x @ k.conj().T for k in channel.kraus))
+    return _kraus_sum(channel.kraus, channel.dim, operator)
 
 
 def dual_apply(channel: QuantumChannel, operator) -> np.ndarray:
     """Dual (Heisenberg) map Σ K† X K, satisfying tr[Φ(T)X] = tr[T Φ*(X)]."""
-    x = hermitize(getattr(operator, "matrix", operator))
-    if x.shape[0] != channel.dim:
-        raise ValidationError(f"dimension mismatch: {channel.dim} vs {x.shape[0]}")
-    return hermitize(sum(k.conj().T @ x @ k for k in channel.kraus))
+    return _kraus_sum([k.conj().T for k in channel.kraus], channel.dim, operator)
 
 
 def choi_matrix(channel: QuantumChannel) -> np.ndarray:

@@ -7,8 +7,8 @@ byte-identical reports.
 
 Exit codes partition outcomes for CI pipelines:
     0  success
-    1  internal numerical failure
-    2  invalid input (message names the violated invariant)
+    1  internal numerical failure (numpy's LinAlgError)
+    2  invalid input, any ValidationError (message names the violated invariant)
     3  an axiom check reported failures
     4  no non-uniqueness witness found
 """
@@ -28,15 +28,13 @@ import numpy as np
 
 from .axioms import find_nonuniqueness_witness, run_axiom_suite
 from .channels import (
-    DecompositionError,
     EffectDecomposition,
     apply_channel,
     choi_matrix,
     phased_channel,
 )
-from .effects import DensityOperator, DomainError, Effect, ValidationError
+from .effects import DensityOperator, Effect, ValidationError
 from .effects import luders_product, phased_product
-from .linalg import NonConvergence
 from .serialize import document_to_matrix, dumps, matrix_to_document
 
 EXIT_OK = 0
@@ -323,10 +321,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     try:
         return args.func(args)
-    except (ValidationError, DomainError, DecompositionError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NonConvergence, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -28,6 +28,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     SpectralDecomposition,
+    ValidationError,
     hermitian_eig,
     hermitize,
 )
@@ -61,12 +62,8 @@ DOMAIN_SLACK = 1e-12
 SUPPORT_CUTOFF = 1e-10
 
 
-class DomainError(ValueError):
+class DomainError(ValidationError):
     """A scalar argument lies outside its admissible domain."""
-
-
-class ValidationError(ValueError):
-    """A construction invariant was violated."""
 
 
 def f_z(z: complex, u: float) -> complex:
@@ -79,10 +76,10 @@ def f_z(z: complex, u: float) -> complex:
     return cmath.exp(complex(z) * math.log(u))
 
 
-def _require_finite(t: float, name: str = "t") -> float:
+def _require_finite(t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
-        raise DomainError(f"{name} must be finite, got {t!r}")
+        raise DomainError(f"t must be finite, got {t!r}")
     return t
 
 
@@ -155,11 +152,15 @@ class Effect:
         t = _require_finite(t)
         lam = self.decomposition.eigenvalues
         mask = lam > 0.0
-        theta = abs(t) * np.log(lam[mask])
+        support = lam[mask]
+        # ascending in (0, 1]: the smallest λ gives the largest |t·ln λ|
+        if support.size and not math.isfinite(abs(t) * math.log(support[0])):
+            raise DomainError(f"t = {t!r} overflows the phase t·ln λ")
+        theta = abs(t) * np.log(support)
         c, s = np.cos(theta), np.sin(theta)
         phase = c + 1j * s if t >= 0 else c - 1j * s
         w = np.zeros(lam.shape[0], dtype=np.complex128)
-        w[mask] = np.sqrt(lam[mask]) * phase if root else phase
+        w[mask] = np.sqrt(support) * phase if root else phase
         return w
 
     def __repr__(self) -> str:
@@ -289,6 +290,8 @@ def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,
         )
     if a > 0.0 and b > 0.0:
         theta = t * (math.log(a * a) - math.log(b * b))
+        if not math.isfinite(theta):
+            raise DomainError(f"t = {t!r} overflows the phase θ = t·(ln a² − ln b²)")
         off = a * b * cmath.exp(1j * theta) * y
         return np.array(
             [[a * a * x, off], [off.conjugate(), b * b * z]], dtype=np.complex128

@@ -5,6 +5,9 @@ Hermitian *by construction*: every routine that manufactures a Hermitian
 matrix runs it through :func:`hermitize`, which averages away last-ulp drift
 instead of rejecting it.  Strict rejection (for I/O boundaries) is a separate
 concern, see :func:`is_hermitian`.
+
+Invalid input raises :class:`ValidationError`, the base of every invalid-input
+error in the package; a solver's numpy ``LinAlgError`` propagates as raised.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "NonConvergence",
+    "ValidationError",
     "SpectralDecomposition",
     "hermitize",
     "is_hermitian",
@@ -31,18 +34,18 @@ PSD_TOL = 1e-10  # admissible negative eigenvalue of a positive semidefinite mat
 HERMITICITY_TOL = 1e-8  # admissible ‖M − M†‖_F per unit of max(1, ‖M‖_F)
 
 
-class NonConvergence(RuntimeError):
-    """The eigensolver failed to converge (pathological input)."""
+class ValidationError(ValueError):
+    """Invalid input: a construction invariant was violated."""
 
 
 def _as_square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
-        raise ValueError("matrices must have dimension >= 1")
+        raise ValidationError("matrices must have dimension >= 1")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise ValidationError("matrix contains NaN or Inf entries")
     return m
 
 
@@ -65,10 +68,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
 
     @cached_property
     def projectors(self) -> np.ndarray:
@@ -94,13 +93,10 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is symmetrized first, so callers may pass data carrying
-    last-ulp drift.  Raises :class:`NonConvergence` if the solver gives up.
+    last-ulp drift.  numpy's ``LinAlgError`` propagates if the solver gives up.
     """
     m = hermitize(matrix)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
+    w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, v)
 
 

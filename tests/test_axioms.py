@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import seqprod.axioms
+import seqprod.effects
 from seqprod import (
     CheckReport,
     ClusteredSpectrum,
     Effect,
-    NonConvergence,
     ValidationError,
     check_commutativity_theorem,
     check_s1,
@@ -23,6 +23,7 @@ from seqprod import (
     gen_kernel_disjoint_pair,
     gen_near_boundary,
     gen_projection,
+    haar_unitary,
     hermitian_eig,
     luders_product,
     phased_product,
@@ -44,6 +45,32 @@ GENERATORS = (gen_generic, gen_projection, gen_commuting_pair,
 def test_gen_projection_is_idempotent():
     p = gen_projection(np.random.default_rng(42), 2)
     assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_gen_projection_decomposes_once(dim, monkeypatch):
+    eig_calls, eigensystem_calls = [], []
+    eig, from_eigensystem = seqprod.effects.hermitian_eig, Effect.from_eigensystem
+
+    def counted_eig(matrix):
+        eig_calls.append(None)
+        return eig(matrix)
+
+    def counted_from_eigensystem(w, v):
+        eigensystem_calls.append(None)
+        return from_eigensystem(w, v)
+
+    monkeypatch.setattr(seqprod.effects, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(Effect, "from_eigensystem", staticmethod(counted_from_eigensystem))
+    p = gen_projection(np.random.default_rng(dim), dim)
+    assert (len(eig_calls), len(eigensystem_calls)) == (1, 0)
+    # the draws come in the same order: rank, placement, then the Haar basis
+    rng = np.random.default_rng(dim)
+    ones = int(rng.integers(1, dim)) if dim >= 2 else int(rng.integers(0, 2))
+    lam = np.zeros(dim)
+    lam[rng.permutation(dim)[:ones]] = 1.0
+    v = haar_unitary(dim, rng)
+    assert np.abs(p.matrix - (v * lam) @ v.conj().T).max() <= 1e-14
 
 
 def test_gen_commuting_pair_commutes():
@@ -158,11 +185,10 @@ def _bare_matrix(a, b):
 
 
 @pytest.mark.parametrize("product, error", [
-    (_raises(NonConvergence), "eigensolver did not converge"),
     (_raises(np.linalg.LinAlgError), "eigensolver did not converge"),
     (_nan_output, "matrix contains NaN or Inf entries"),
     (_bare_matrix, "'numpy.ndarray' object has no attribute 'matrix'"),
-], ids=["NonConvergence", "LinAlgError", "nan_output", "bare_matrix"])
+], ids=["LinAlgError", "nan_output", "bare_matrix"])
 def test_numerical_failure_of_product_is_counted(product, error):
     s2 = check_s2(product, trials=10, dims=(2, 3), seed=0)
     assert s2.failures == s2.trials == 10

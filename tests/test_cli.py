@@ -5,7 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from seqprod import Effect, find_nonuniqueness_witness, haar_unitary, run_axiom_suite
+import seqprod.cli
+from seqprod import (
+    DecompositionError,
+    DomainError,
+    Effect,
+    ValidationError,
+    find_nonuniqueness_witness,
+    haar_unitary,
+    hermitize,
+    run_axiom_suite,
+)
 from seqprod.cli import TOL_KEYWORDS, main
 from seqprod.serialize import document_to_matrix, dumps, matrix_to_document
 
@@ -442,3 +452,53 @@ def test_channel_output_trace_checked_at_decomposition_tolerance(tmp_path, capsy
 def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def _raise(error):
+    def command(args):
+        raise error
+    return command
+
+
+def _nan_matrix(args):
+    hermitize(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("command, code, err", [
+    (_raise(ValidationError("bad input")), 2, "error: bad input\n"),
+    (_raise(DomainError("u out of domain")), 2, "error: u out of domain\n"),
+    (_raise(DecompositionError("sum is not I")), 2, "error: sum is not I\n"),
+    (_nan_matrix, 2, "error: matrix contains NaN or Inf entries\n"),
+    (_raise(np.linalg.LinAlgError("Eigenvalues did not converge")), 1,
+     "numerical failure: Eigenvalues did not converge\n"),
+], ids=["ValidationError", "DomainError", "DecompositionError", "nan_matrix", "LinAlgError"])
+def test_error_raised_in_a_subcommand_maps_to_its_exit_code(command, code, err,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(seqprod.cli, "cmd_product", command)
+    assert main(["product", "a.json", "b.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""
+
+
+def test_overflowing_phase_exits_two(tmp_path, capsys):
+    small = write_doc(tmp_path / "small.json", np.diag([1e-9, 0.5]))
+    b2 = write_doc(tmp_path / "b2.json", np.array([[0.5, 0.2], [0.2, 0.5]]))
+    for argv in (["product", small, b2, "--t", "1e307"],
+                 ["nonuniqueness", "--t", "1e308", "--trials", "3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "overflows the phase" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_phase_is_a_counted_axiom_failure(capsys):
+    assert main(["axioms", "--t", "1e308", "--trials", "4", "--dims", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (group,) = json.loads(captured.out)["groups"]
+    assert group["failures"] > 0
+    failed = [r for r in group["reports"] if r["failures"]]
+    assert all(r["witness"]["error"] == "t = 1e+308 overflows the phase t·ln λ"
+               for r in failed)

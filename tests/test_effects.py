@@ -365,6 +365,18 @@ def test_closed_form_rejects_invalid_inputs():
         closed_form_2d(0.5, 0.5, math.nan, 0.0, 0.5)
 
 
+def test_overflowing_phase_is_a_domain_error():
+    # |t·ln λ| overflows to inf, where cos and sin would give NaN
+    with pytest.raises(DomainError, match="overflows the phase"):
+        closed_form_2d(0.9, 1e-5, 0.5, 0.2, 0.5, t=1e308)
+    a, b = Effect(np.diag([1e-9, 0.5])), Effect(np.eye(2) / 2)
+    for t in (1e307, -1e307):
+        with pytest.raises(DomainError, match="overflows the phase"):
+            phased_product(a, b, t)
+    # the same t is finite on a spectrum whose logarithms are small enough
+    assert np.isfinite(phased_product(Effect(np.eye(2) * 0.9), b, 1e307).matrix).all()
+
+
 # ---------------------------------------------------------------------------
 # linear extension to self-adjoint operands
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqprod
 from seqprod import (
+    DecompositionError,
+    DomainError,
     Effect,
+    ValidationError,
     apply_spectral_function,
     hermitian_eig,
     hermitize,
@@ -57,6 +61,24 @@ def test_eig_rejects_bad_shapes():
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[np.nan, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((2, 3)), "expected a square matrix"),
+    (np.zeros((0, 0)), "matrices must have dimension >= 1"),
+    (np.array([[np.nan, 0], [0, 1]]), "matrix contains NaN or Inf entries"),
+], ids=["non-square", "empty", "nan"])
+def test_invalid_matrix_is_a_validation_error(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        hermitize(matrix)
+
+
+def test_every_invalid_input_error_is_one_validation_error():
+    assert seqprod.ValidationError is seqprod.effects.ValidationError
+    assert seqprod.ValidationError is seqprod.linalg.ValidationError
+    assert issubclass(ValidationError, ValueError)
+    assert issubclass(DomainError, ValidationError)
+    assert issubclass(DecompositionError, ValidationError)
 
 
 def test_apply_identity_function():
