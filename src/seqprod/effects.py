@@ -267,11 +267,11 @@ def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,
                    t: float = 1.0) -> np.ndarray:
     """Product of A = diag(a², b²) with B = [[x, y], [ȳ, z]] in closed form.
 
-    For a, b > 0 the off-diagonal entry picks up the phase e^{iθ} with
-    θ = t·(ln a² − ln b²); a vanishing a or b collapses the corresponding
-    row and column.  The case split is at exact zero: small positive a or b
-    are *not* snapped, since the closed form is evaluated directly from the
-    scalars rather than through a spectral cutoff.
+    For a², b² > 0 the off-diagonal entry picks up the phase e^{iθ} with
+    θ = t·(ln a² − ln b²); a vanishing a² or b² collapses the corresponding
+    row and column.  The case split is at exact zero of a² and b²: small
+    positive squares are *not* snapped, since the closed form is evaluated
+    directly from the scalars rather than through a spectral cutoff.
     """
     t = _require_finite(t)
     for name, val in (("a", a), ("b", b)):
@@ -288,16 +288,15 @@ def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,
             f"[[x, y], [ȳ, z]] is not an effect "
             f"(spectrum [{spectrum[0]:.3e}, {spectrum[-1]:.3e}])"
         )
-    if a > 0.0 and b > 0.0:
-        theta = t * (math.log(a * a) - math.log(b * b))
+    a2, b2 = a * a, b * b
+    if a2 > 0.0 and b2 > 0.0:
+        theta = t * (math.log(a2) - math.log(b2))
         if not math.isfinite(theta):
             raise DomainError(f"t = {t!r} overflows the phase θ = t·(ln a² − ln b²)")
         off = a * b * cmath.exp(1j * theta) * y
-        return np.array(
-            [[a * a * x, off], [off.conjugate(), b * b * z]], dtype=np.complex128
-        )
-    if a > 0.0:
-        return np.array([[a * a * x, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    if b > 0.0:
-        return np.array([[0.0, 0.0], [0.0, b * b * z]], dtype=np.complex128)
+        return np.array([[a2 * x, off], [off.conjugate(), b2 * z]], dtype=np.complex128)
+    if a2 > 0.0:
+        return np.array([[a2 * x, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    if b2 > 0.0:
+        return np.array([[0.0, 0.0], [0.0, b2 * z]], dtype=np.complex128)
     return np.zeros((2, 2), dtype=np.complex128)

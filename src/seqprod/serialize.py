@@ -1,9 +1,10 @@
 """Deterministic JSON serialization and the matrix document format.
 
 A matrix document is ``{"dim": n, "entries": [[re, im], ...]}`` with the
-entries row-major, length n².  Floats are written with 17 significant
-digits so that serialized reports are byte-identical across runs and
-round-trip float64 exactly.
+entries row-major, length n².  Reports use the layout of
+``json.dumps(obj, indent=2)``, except that floats are written with 17
+significant digits, so that serialized reports are byte-identical across
+runs and round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -18,77 +19,41 @@ from .linalg import hermitize, is_hermitian
 
 __all__ = [
     "dumps",
-    "format_float",
     "matrix_to_document",
     "document_to_matrix",
 ]
 
-
-def format_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(x, ".17g")
-
-
 INDENT = "  "  # one nesting level of the written JSON
 
 
-def _emit(obj, out: list, level: int) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        pad = INDENT * (level + 1)
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
+def _encode(obj, pad: str) -> str:
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {float(obj)!r}")
+        return format(obj, ".17g")
+    inner = pad + INDENT
+    if isinstance(obj, dict) and obj:
+        items = []
+        for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad)
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(value, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(INDENT * level)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        pad = INDENT * (level + 1)
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _emit(value, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(INDENT * level)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+            items.append(inner + json.dumps(key) + ": " + _encode(value, inner))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [inner + _encode(value, inner) for value in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return json.dumps(obj)  # None, bool, int, str, {} and []; else json's TypeError
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON with deterministic 17-digit float formatting."""
-    out: list = []
-    _emit(obj, out, 0)
-    return "".join(out)
+    """Serialize to JSON in ``json.dumps(obj, indent=2)``'s layout, floats at 17 digits."""
+    return _encode(obj, "")
 
 
 def matrix_to_document(matrix) -> dict:
     m = np.asarray(matrix, dtype=np.complex128)
-    n = m.shape[0]
-    entries = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
-    return {"dim": n, "entries": entries}
+    entries = m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()
+    return {"dim": m.shape[0], "entries": entries}
 
 
 def document_to_matrix(doc) -> np.ndarray:

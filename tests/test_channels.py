@@ -80,6 +80,23 @@ def test_effect_decomposition_validation():
     assert len(d) == 2 and d.sum_deviation < 1e-12
 
 
+@pytest.mark.parametrize("build, invariant", [
+    (lambda: QuantumChannel([np.full((2, 2), np.nan)]), "NaN or Inf"),
+    (lambda: QuantumChannel([0.5 * np.eye(2)], require_trace_preserving=True),
+     "not trace-preserving"),
+    (lambda: EffectDecomposition([Effect(np.eye(2)), Effect(np.eye(3))]),
+     "mismatched dimensions"),
+    (lambda: apply_operation(QuantumChannel([np.eye(2)]), np.eye(3)), "dimension mismatch"),
+    (lambda: compose(QuantumChannel([np.eye(2)]), QuantumChannel([np.eye(3)])),
+     "dimension mismatch"),
+    (lambda: choi_input_marginal(np.eye(5)), "not a perfect square"),
+], ids=["kraus-nan", "require-trace-preserving", "decomposition-dims",
+        "apply-operation-dims", "compose-dims", "choi-not-square"])
+def test_malformed_channel_inputs_are_validation_errors(build, invariant):
+    with pytest.raises(ValidationError, match=invariant):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # phased channels
 # ---------------------------------------------------------------------------

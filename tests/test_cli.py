@@ -81,11 +81,56 @@ def test_document_rejects_non_hermitian_and_malformed():
         document_to_matrix({"dim": 1.9, "entries": [["0.5", False]]})
 
 
-def test_dumps_formats_floats_deterministically():
-    assert dumps(0.45) == "0.45000000000000001"
-    assert dumps({"a": 1, "b": [True, None, "x"]}) == (
-        '{\n  "a": 1,\n  "b": [\n    true,\n    null,\n    "x"\n  ]\n}'
-    )
+FLOAT_FREE = {
+    "nested": {"a": 1, "b": [True, None, "x"], "c": {"d": [[], {}, ()], "e": {"f": [1, [2]]}}},
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-tuple": (),
+    "tuple": (1, "two"),
+    "non-ascii": "Lüders ρ",
+    "true": True,
+    "none": None,
+}
+FLOATS = {"0.1": 0.1, "-0.0": -0.0, "1e-300": 1e-300, "5e-324": 5e-324, "1.0": 1.0,
+          "float64": np.float64(1e-5)}
+
+
+@pytest.mark.parametrize("value, expected", [
+    pytest.param(0.45, "0.45000000000000001", id="0.45"),
+    pytest.param({"a": 1, "b": [True, None, "x"]},
+                 '{\n  "a": 1,\n  "b": [\n    true,\n    null,\n    "x"\n  ]\n}',
+                 id="layout"),
+    *[pytest.param(x, json.dumps(x, indent=2), id=f"json-{name}")
+      for name, x in FLOAT_FREE.items()],
+    *[pytest.param(x, format(float(x), ".17g"), id=name) for name, x in FLOATS.items()],
+    pytest.param(math.nan, ValueError, id="nan"),
+    pytest.param({1: 0.5}, TypeError, id="int-key"),
+    # numpy scalars other than float64 are not JSON values
+    pytest.param(np.int64(1), TypeError, id="numpy-int"),
+])
+def test_dumps_formats_floats_deterministically(value, expected):
+    if isinstance(expected, str):
+        assert dumps(value) == expected
+    else:
+        with pytest.raises(expected):
+            dumps(value)
+
+
+_RNG = np.random.default_rng(9)
+_COMPLEX = _RNG.normal(size=(5, 5)) + 1j * _RNG.normal(size=(5, 5))
+
+
+@pytest.mark.parametrize("matrix", [
+    _COMPLEX,
+    _COMPLEX.T,
+    _RNG.normal(size=(4, 4)),
+    np.array([[-0.0, 0.5 - 0.0j], [complex(0.5, -0.0), -0.0]]),
+], ids=["complex", "transpose-view", "real", "negative-zeros"])
+def test_matrix_document_matches_the_entrywise_walk(matrix):
+    walk = [[float(v.real), float(v.imag)] for v in np.asarray(matrix).reshape(-1)]
+    doc = matrix_to_document(matrix)
+    assert doc["dim"] == matrix.shape[0]
+    assert dumps(doc["entries"]) == dumps(walk)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +379,30 @@ def test_single_t_takes_a_negative_value_after_a_space(tmp_path, capsys):
 ])
 def test_trials_and_tolerances_out_of_domain_exit_two(argv, invariant, capsys):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert invariant in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, invariant", [
+    (["axioms", "--dims", "x"], "--dims expects a csv of integers"),
+    (["axioms", "--dims", "0"], "--dims entries must be integers >= 1"),
+    (["axioms", "--t", "x"], "--t expects a csv of reals"),
+    (["axioms", "--t", "nan"], "--t entries must be finite reals"),
+    (["axioms", "--tol", "defect"], "--tol expects name=value"),
+    (["axioms", "--tol", "defect=abc"], "--tol defect must be a finite"),
+    (["product", "eye.json", "eye.json", "--t", "1,2"], "expects exactly one value in --t"),
+    (["channel", "object.json", "rho.json"], "must be a JSON array of matrix documents"),
+    (["product", "array.json", "eye.json"], "matrix document must be a JSON object"),
+], ids=["dims-not-int", "dims-zero", "t-not-real", "t-nan", "tol-no-value",
+        "tol-not-real", "product-two-t", "decomposition-object", "matrix-array"])
+def test_malformed_cli_inputs_exit_two(argv, invariant, tmp_path, capsys):
+    write_doc(tmp_path / "eye.json", np.eye(2))
+    write_doc(tmp_path / "rho.json", np.eye(2) / 2)
+    (tmp_path / "object.json").write_text("{}")
+    (tmp_path / "array.json").write_text("[]")
+    assert main([str(tmp_path / arg) if arg.endswith(".json") else arg
+                 for arg in argv]) == 2
     captured = capsys.readouterr()
     assert invariant in captured.err
     assert captured.out == ""

@@ -121,6 +121,19 @@ def test_projection_validation():
         Projection(np.diag([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("build, invariant", [
+    (lambda: Effect.from_eigensystem([0.5, 0.5], np.eye(3)), "shapes do not match"),
+    (lambda: Effect.from_eigensystem([math.nan, 0.5], np.eye(2)), "NaN or Inf"),
+    (lambda: Effect.from_eigensystem([0.2, 0.5], [[1.0, 1.0], [0.0, 1.0]]),
+     "not orthonormal"),
+    (lambda: Projection(np.diag([1.0 + 5e-11, 0.0])), "not idempotent"),
+], ids=["eigensystem-shapes", "eigensystem-nan", "eigensystem-not-orthonormal",
+        "projection-not-idempotent"])
+def test_malformed_operands_are_validation_errors(build, invariant):
+    with pytest.raises(ValidationError, match=invariant):
+        build()
+
+
 def test_density_operator_validation():
     with pytest.raises(ValidationError):
         DensityOperator(np.diag([0.7, 0.7]))
@@ -340,6 +353,27 @@ def test_closed_form_boundary_cases():
     assert np.abs(out - np.diag([0.0, 0.1])).max() < 1e-15
     out = closed_form_2d(0.0, 0.0, 0.3, 0.2j, 0.4)
     assert np.abs(out).max() == 0.0
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("a, b, spectrum", [
+    (1e-200, 0.5, [0.0, 0.25]),
+    (0.5, 1e-200, [0.25, 0.0]),
+], ids=["a-squared-underflows", "b-squared-underflows"])
+def test_closed_form_square_that_underflows_is_a_kernel(a, b, spectrum, t):
+    # a² or b² rounds to 0.0, an eigenvalue 0 of A, whose row and column collapse
+    x, y, z = 0.5, 0.2, 0.5
+    direct = closed_form_2d(a, b, x, y, z, t)
+    spectral = phased_product(Effect(np.diag(spectrum)),
+                              Effect(np.array([[x, y], [y, z]])), t).matrix
+    assert np.abs(direct - spectral).max() <= 1e-12
+
+
+def test_closed_form_subnormal_square_keeps_the_phase():
+    out = closed_form_2d(1e-160, 0.5, 0.5, 0.2, 0.5, t=1.0)  # a² = 1e-320 > 0
+    assert out[0, 0].real > 0.0
+    theta = math.log(1e-160 ** 2) - math.log(0.25)
+    assert cmath.isclose(out[0, 1], 1e-160 * 0.5 * cmath.exp(1j * theta) * 0.2)
 
 
 def test_closed_form_matches_spectral_route():
