@@ -33,7 +33,6 @@ from .effects import (
 )
 from .axioms import (
     CheckReport,
-    ClusteredSpectrum,
     check_commutativity_theorem,
     check_s1,
     check_s2,

@@ -13,6 +13,11 @@ plain function ``gen_*(rng, dim)`` of a numpy Generator and a dim >= 1.
 
 Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.
+
+The k-th spectral projector of B is recovered by Lagrange interpolation of
+the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
+the eigenvalue cluster means b_j; clusters are CLUSTER_TOL apart, which
+keeps the nodes apart.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .effects import (
     Projection,
     ValidationError,
     f_z,
-    kraus_operator,
     luders_product,
     phased_product,
 )
@@ -36,7 +40,6 @@ from .linalg import hermitize, operator_norm
 from .serialize import matrix_to_document
 
 __all__ = [
-    "ClusteredSpectrum",
     "gen_commuting_pair",
     "gen_generic",
     "gen_kernel_disjoint_pair",
@@ -59,14 +62,9 @@ __all__ = [
 DEFAULT_CEILING = 1e-9
 DEFAULT_COMM_FLOOR = 0.01        # converse: least ‖AB − BA‖_F of a drawn pair
 DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it must give
-DEFAULT_CLUSTER_TOL = 1e-8       # eigenvalues this close share a cluster
-NODE_TOL = 1e-10                 # least distance between interpolation nodes
+CLUSTER_TOL = 1e-8               # eigenvalues this close share a cluster
 MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
 DEFAULT_DIMS = (2, 3, 4, 6)
-
-
-class ClusteredSpectrum(RuntimeError):
-    """Interpolation nodes collide; the projector recovery is ill-posed."""
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +423,8 @@ def run_axiom_suite(put: Product, *, trials: int = 1000,
 # Projector recovery by interpolation
 # ---------------------------------------------------------------------------
 
-def distinct_spectrum(b: Effect, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
-    """Distinct eigenvalues of the effect, clustered within cluster_tol.
+def distinct_spectrum(b: Effect) -> np.ndarray:
+    """Distinct eigenvalues of the effect, clustered within CLUSTER_TOL.
 
     Eigenvalues at or below the support cutoff are already exactly zero in
     the effect's decomposition, so the kernel forms one cluster at 0.
@@ -435,33 +433,31 @@ def distinct_spectrum(b: Effect, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np
     reps = []
     start = 0
     for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] - lam[i - 1] > cluster_tol:
+        if i == len(lam) or lam[i] - lam[i - 1] > CLUSTER_TOL:
             reps.append(float(np.mean(lam[start:i])))
             start = i
     return np.array(reps)
 
 
-def projector_interpolation(b: Effect, k: int, *,
-                            cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+def projector_interpolation(b: Effect, k: int) -> np.ndarray:
     """Recover the k-th spectral projector of B from the matrix B^{1/2}B^{-i}.
 
-    Lagrange interpolation through the nodes w_j = b_j^{1/2} e^{-i ln b_j}
-    (w = 0 for the kernel cluster) evaluated at the matrix; the empty
-    product for a single cluster yields the identity.  k indexes the
-    ascending distinct eigenvalues, 0-based.
+    Lagrange interpolation through the nodes w_j = f_{1/2−i}(b_j) at the
+    cluster means b_j (w = 0 for the kernel cluster), evaluated at the
+    matrix f_{1/2−i}(B); the empty product for a single cluster yields the
+    identity.  k indexes the ascending distinct eigenvalues, 0-based.
     """
-    reps = distinct_spectrum(b, cluster_tol)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise IndexError(f"cluster index k = {k!r} is not an integer")
+    reps = distinct_spectrum(b)
     m = len(reps)
     if not 0 <= k < m:
         raise IndexError(f"cluster index {k} out of range for {m} clusters")
-    nodes = np.array([f_z(0.5 - 1j, r) for r in reps])
-    for p in range(m):
-        for q in range(p + 1, m):
-            if abs(nodes[p] - nodes[q]) < NODE_TOL:
-                raise ClusteredSpectrum(
-                    f"interpolation nodes {p} and {q} are closer than {NODE_TOL:g}"
-                )
-    matrix = kraus_operator(b, -1.0)
+    # Adjacent cluster means differ by more than CLUSTER_TOL, so two nodes
+    # differ by |w_p − w_q| >= |√b_p − √b_q| > CLUSTER_TOL / 2 = 5e-9.
+    nodes = f_z(0.5 - 1j, reps)
+    dec = b.decomposition
+    matrix = dec.apply(f_z(0.5 - 1j, dec.eigenvalues))
     result = np.eye(b.dim, dtype=np.complex128)
     denom = 1.0 + 0j
     for j in range(m):

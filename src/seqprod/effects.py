@@ -11,6 +11,11 @@ computed as A ∘_t S = K S K† from one spectral decomposition of the left
 operand, where K = A^{1/2} A^{it} (:func:`kraus_operator`) is also the Kraus
 operator of the channel the product induces.
 
+Every function of an effect is V·f_z(Λ)·V† for one scalar kernel
+f_z(u) = exp(z ln u) on (0, 1], f_z(0) = 0 (:func:`f_z`), assembled by
+``SpectralDecomposition.apply``: K = f_{1/2+it}(A), A^{it} = f_{it}(A),
+A^{1/2} = f_{1/2}(A) and the support projection f_0(A).
+
 Eigenvalues at or below the support cutoff are treated as exactly zero.  The
 scalar phase e^{it ln u} oscillates without limit as u → 0, so a hard cutoff
 is the only stable choice; the product is then exact on the support of A and
@@ -66,21 +71,44 @@ class DomainError(ValidationError):
     """A scalar argument lies outside its admissible domain."""
 
 
-def f_z(z: complex, u: float) -> complex:
-    """exp(z·ln u) for u in (0, 1], and exactly 0 at u = 0."""
-    if not (math.isfinite(u) and -DOMAIN_SLACK <= u <= 1.0 + DOMAIN_SLACK):
-        raise DomainError(f"u = {u!r} lies outside [0, 1]")
-    u = min(max(float(u), 0.0), 1.0)
-    if u == 0.0:
-        return 0j
-    return cmath.exp(complex(z) * math.log(u))
+def f_z(z: complex, u):
+    """exp(z·ln u) for u in (0, 1], and exactly 0 at u = 0; u is a scalar or an array.
 
-
-def _require_finite(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    return t
+    With z = x + it the magnitude is u**x (numpy evaluates u**0.5 as
+    np.sqrt) and the phase is built from |t| with the sign put on the
+    imaginary part, so f_z(z̄, u) is the exact conjugate of f_z(z, u).
+    A non-finite z, or a phase t·ln u or magnitude u**x that overflows, is
+    a DomainError.
+    """
+    z = complex(z)
+    x, t = z.real, z.imag
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise DomainError(f"z = {z!r} is not finite")
+    u = np.asarray(u, dtype=np.float64)
+    # one pass over plain floats: a NaN or Inf makes the sum non-finite
+    vals = u.ravel().tolist() or [0.0]
+    lo, hi = min(vals), max(vals)
+    if not (math.isfinite(sum(vals)) and -DOMAIN_SLACK <= lo and hi <= 1.0 + DOMAIN_SLACK):
+        bad = next(v for v in vals if not -DOMAIN_SLACK <= v <= 1.0 + DOMAIN_SLACK)
+        raise DomainError(f"u = {bad!r} lies outside [0, 1]")
+    if lo < 0.0 or hi > 1.0:
+        u = np.clip(u, 0.0, 1.0)
+    mask = ... if lo > 0.0 else u > 0.0  # no zeros: evaluate in place, no gather
+    pos = u[mask]
+    w = np.zeros(u.shape, dtype=np.complex128)
+    if pos.size:
+        # the smallest u gives the largest |t·ln u| and, for x < 0, the largest u**x
+        smallest = min(pos.ravel().tolist())
+        if not math.isfinite(abs(t) * math.log(smallest)):
+            raise DomainError(f"t = {t!r} overflows the phase t·ln λ")
+        try:
+            math.pow(smallest, x)
+        except OverflowError:
+            raise DomainError(f"x = {x!r} overflows the magnitude u**x") from None
+        theta = abs(t) * np.log(pos)
+        c, s = np.cos(theta), np.sin(theta)
+        w[mask] = pos ** x * (c + 1j * s if t >= 0 else c - 1j * s)
+    return w[()]  # a scalar for scalar u
 
 
 class Effect:
@@ -97,10 +125,10 @@ class Effect:
 
     def __init__(self, matrix):
         m = hermitize(matrix)
-        dec = hermitian_eig(m)
-        self._finish(m, dec.eigenvalues, dec.eigenvectors)
+        self._finish(m, hermitian_eig(m))
 
-    def _finish(self, m, w, v):
+    def _finish(self, m, dec):
+        w = dec.eigenvalues
         lo, hi = float(w[0]), float(w[-1])
         if lo < -SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
             raise ValidationError(
@@ -109,7 +137,7 @@ class Effect:
             )
         w = np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
         self.matrix = m
-        self.decomposition = SpectralDecomposition(w, v)
+        self.decomposition = SpectralDecomposition(w, dec.eigenvectors)
 
     @staticmethod
     def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
@@ -126,10 +154,9 @@ class Effect:
                 f"eigenvector columns are not orthonormal (defect {gram:.3e})"
             )
         order = np.argsort(w, kind="stable")
-        w = w[order]
-        v = v[:, order]
+        dec = SpectralDecomposition(w[order], v[:, order])
         eff = object.__new__(Effect)
-        eff._finish(hermitize((v * w) @ v.conj().T), w, v)
+        eff._finish(hermitize(dec.reconstruct()), dec)
         return eff
 
     @property
@@ -138,30 +165,9 @@ class Effect:
 
     @property
     def support(self) -> np.ndarray:
-        """Projection onto the range of the effect."""
+        """Projection f_0(A) onto the range of the effect."""
         dec = self.decomposition
-        return dec.apply((dec.eigenvalues > 0.0).astype(np.float64))
-
-    def _support_weights(self, t: float, *, root: bool = True) -> np.ndarray:
-        """√λ·e^{it ln λ} per eigenvalue (e^{it ln λ} alone without ``root``).
-
-        Weights of the kernel (eigenvalues exactly 0) are exactly 0.  The
-        angle array is built from |t| and the sign applied on the imaginary
-        part, so weights for t and -t are exact complex conjugates bit for bit.
-        """
-        t = _require_finite(t)
-        lam = self.decomposition.eigenvalues
-        mask = lam > 0.0
-        support = lam[mask]
-        # ascending in (0, 1]: the smallest λ gives the largest |t·ln λ|
-        if support.size and not math.isfinite(abs(t) * math.log(support[0])):
-            raise DomainError(f"t = {t!r} overflows the phase t·ln λ")
-        theta = abs(t) * np.log(support)
-        c, s = np.cos(theta), np.sin(theta)
-        phase = c + 1j * s if t >= 0 else c - 1j * s
-        w = np.zeros(lam.shape[0], dtype=np.complex128)
-        w[mask] = np.sqrt(support) * phase if root else phase
-        return w
+        return hermitize(dec.apply(f_z(0.0, dec.eigenvalues).real))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -209,25 +215,30 @@ class DensityOperator:
 def effect_power_it(a: Effect, t: float) -> np.ndarray:
     """A^{it}: the unitary-on-support phase factor of the effect.
 
-    Returns f_{it}(A) with the kernel block mapped to zero, so that
-    A^{it} A^{-it} equals the support projection and (A^{it})† = A^{-it}
-    holds exactly.
+    Returns f_{it}(A) with the kernel block mapped to zero.  It is built for
+    |t| and conjugate-transposed for t < 0, and t = 0 gives the support
+    projection, so A^{it} A^{-it} equals the support projection and
+    (A^{it})† = A^{-it} holds exactly.
     """
-    return a.decomposition.apply(a._support_weights(t, root=False))
+    t = float(t)
+    if t == 0.0:
+        return a.support
+    dec = a.decomposition
+    f = dec.apply(f_z(complex(0.0, abs(t)), dec.eigenvalues))
+    return f if t > 0.0 else f.conj().T
 
 
 def sqrt_effect(a: Effect) -> Effect:
-    """Positive square root; spectrum stays in [0, 1]."""
-    return Effect.from_eigensystem(
-        a._support_weights(0.0).real, a.decomposition.eigenvectors
-    )
+    """Positive square root f_{1/2}(A); spectrum stays in [0, 1]."""
+    dec = a.decomposition
+    return Effect.from_eigensystem(f_z(0.5, dec.eigenvalues).real, dec.eigenvectors)
 
 
 def kraus_operator(a: Effect, t: float) -> np.ndarray:
-    """K = A^{1/2} A^{it}, zero on A's kernel: A ∘_t S = K S K†, and K is A's
-    Kraus operator in the channel of a decomposition of the identity."""
-    v = a.decomposition.eigenvectors
-    return (v * a._support_weights(t)) @ v.conj().T
+    """K = A^{1/2} A^{it} = f_{1/2+it}(A), zero on A's kernel: A ∘_t S = K S K†,
+    and K is A's Kraus operator in the channel of a decomposition of the identity."""
+    dec = a.decomposition
+    return dec.apply(f_z(complex(0.5, t), dec.eigenvalues))
 
 
 def _sandwich(a: Effect, s: np.ndarray, t: float) -> np.ndarray:
@@ -273,7 +284,9 @@ def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,
     positive squares are *not* snapped, since the closed form is evaluated
     directly from the scalars rather than through a spectral cutoff.
     """
-    t = _require_finite(t)
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     for name, val in (("a", a), ("b", b)):
         if not (math.isfinite(val) and 0.0 <= val <= 1.0):
             raise DomainError(f"{name} = {val!r} lies outside [0, 1]")

@@ -3,8 +3,11 @@
 Matrices are plain numpy arrays of dtype complex128.  Hermitian data is kept
 Hermitian *by construction*: every routine that manufactures a Hermitian
 matrix runs it through :func:`hermitize`, which averages away last-ulp drift
-instead of rejecting it.  Strict rejection (for I/O boundaries) is a separate
-concern, see :func:`is_hermitian`.
+instead of rejecting it.  :meth:`SpectralDecomposition.apply`, the one
+assembly V·diag(values)·V†, is a single GEMM and Hermitian only up to
+rounding, so the callers that need a Hermitian result hermitize it: effect
+construction, ``Effect.support`` and the projector interpolation.  Strict
+rejection (for I/O boundaries) is a separate concern, see :func:`is_hermitian`.
 
 Invalid input raises :class:`ValidationError`, the base of every invalid-input
 error in the package; a solver's numpy ``LinAlgError`` propagates as raised.
@@ -13,7 +16,6 @@ error in the package; a solver's numpy ``LinAlgError`` propagates as raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -69,21 +71,10 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @cached_property
-    def projectors(self) -> np.ndarray:
-        """Stack of rank-one eigenprojectors; each slice is exactly Hermitian."""
-        v = self.eigenvectors
-        return np.einsum("ik,jk->kij", v, v.conj())
-
     def apply(self, values) -> np.ndarray:
-        """Sum values[k] * v_k v_k† over k in a fixed order.
-
-        Real values give an exactly Hermitian result, and conjugating the
-        values conjugate-transposes the result bit for bit; both effects
-        follow from the projector slices being stored exactly Hermitian.
-        """
-        values = np.asarray(values)
-        return np.einsum("k,kij->ij", values, self.projectors)
+        """V·diag(values)·V†: the matrix of a function of the eigenvalues."""
+        v = self.eigenvectors
+        return (v * values) @ v.conj().T
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(self.eigenvalues)

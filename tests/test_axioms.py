@@ -7,7 +7,6 @@ import seqprod.axioms
 import seqprod.effects
 from seqprod import (
     CheckReport,
-    ClusteredSpectrum,
     Effect,
     ValidationError,
     check_commutativity_theorem,
@@ -372,10 +371,28 @@ def test_interpolation_partition_of_identity():
 
 
 def test_interpolation_clustered_spectrum_raises():
+    # 5e-12 apart is one cluster at CLUSTER_TOL: its projector is the
+    # identity and there is no second cluster to recover
     v = np.eye(2)
     b = Effect.from_eigensystem(np.array([0.25, 0.25 + 5e-12]), v)
-    with pytest.raises(ClusteredSpectrum):
-        projector_interpolation(b, 0, cluster_tol=1e-13)
+    assert len(distinct_spectrum(b)) == 1
+    assert np.array_equal(projector_interpolation(b, 0), np.eye(2))
+    with pytest.raises(IndexError):
+        projector_interpolation(b, 1)
+
+
+@pytest.mark.parametrize("k", [True, False, np.True_, 1.5, 1.0, "1"])
+def test_interpolation_rejects_a_non_integer_index(k):
+    b = Effect(np.diag([0.25, 0.81]))
+    with pytest.raises(IndexError, match="k = "):
+        projector_interpolation(b, k)
+
+
+@pytest.mark.parametrize("k", [np.int64(1), np.int32(0)])
+def test_interpolation_accepts_numpy_integer_index(k):
+    b = Effect(np.diag([0.25, 0.81]))
+    expected = np.diag([1.0, 0.0]) if k == 0 else np.diag([0.0, 1.0])
+    assert np.linalg.norm(projector_interpolation(b, k) - expected) <= 1e-12
 
 
 def test_interpolation_index_out_of_range():

@@ -59,6 +59,60 @@ def test_f_z_rejects_out_of_domain():
         f_z(1j, 1.1)
 
 
+F_Z_ARGS = [1j, -1j, 0.5 + 1j, 0.5 - 1j, 0.5, 0.0, 2.5 - 0.5j, -0.3 + 2.0j, 0.5 - 1e300j]
+# 0, within DOMAIN_SLACK of the ends, below the support cutoff, tiny and ordinary
+F_Z_POINTS = np.array([0.0, -5e-13, 1e-300, 1e-11, 0.25, 0.7, 1.0, 1.0 + 5e-13])
+
+
+@pytest.mark.parametrize("z", F_Z_ARGS)
+def test_f_z_on_an_array_is_the_scalar_calls(z):
+    out = f_z(z, F_Z_POINTS)
+    assert out.shape == F_Z_POINTS.shape and out.dtype == np.complex128
+    for u, value in zip(F_Z_POINTS, out):
+        assert np.complex128(f_z(z, float(u))).tobytes() == value.tobytes()
+    assert np.array_equal(f_z(z, F_Z_POINTS.reshape(2, 4)), out.reshape(2, 4))
+    assert f_z(z, F_Z_POINTS[2:]).tobytes() == out[2:].tobytes()  # no zeros
+
+
+@pytest.mark.parametrize("z", F_Z_ARGS)
+def test_f_z_of_conjugate_is_exact_conjugate(z):
+    z = complex(z)
+    # exact values; a zero imaginary part (u = 0 or 1) may differ in its sign only
+    assert np.array_equal(f_z(z.conjugate(), F_Z_POINTS), f_z(z, F_Z_POINTS).conj())
+
+
+@pytest.mark.parametrize("z", F_Z_ARGS)
+def test_f_z_is_exact_zero_at_zero(z):
+    out = f_z(z, F_Z_POINTS)
+    assert out[0] == 0j and out[1] == 0j  # -5e-13 is clamped to 0
+    assert f_z(z, np.zeros(3)).tolist() == [0j, 0j, 0j]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z, u, message", [
+    (complex("nan"), 0.5, "not finite"),
+    (complex(0.0, math.inf), 0.5, "not finite"),
+    (complex(math.inf, 1.0), np.array([0.0, 0.5]), "not finite"),
+    (1e308j, 1e-300, "overflows the phase"),
+    (-1e308j, np.array([0.5, 1e-300]), "overflows the phase"),
+    (-1000.0, 1e-300, "overflows the magnitude"),
+    (-1000.0 + 1j, np.array([1.0, 1e-300, 0.0]), "overflows the magnitude"),
+    (1j, np.array([0.5, math.nan]), "outside"),
+    (1j, np.array([0.5, math.inf]), "outside"),
+    (1j, np.array([[0.5, 0.1], [-0.1, 0.2]]), "outside"),
+], ids=["nan", "inf_phase", "inf_magnitude", "phase", "phase_array", "magnitude",
+        "magnitude_array", "nan_u", "inf_u", "negative_u"])
+def test_f_z_rejects_what_it_cannot_evaluate(z, u, message):
+    with pytest.raises(DomainError, match=message):
+        f_z(z, u)
+
+
+def test_f_z_at_the_edge_of_overflow_is_finite():
+    # the largest finite phase and a magnitude just below overflow both evaluate
+    assert np.isfinite(f_z(1e305j, np.array([1e-300, 0.5]))).all()
+    assert np.isfinite(f_z(-2.0, 1e-154))
+
+
 # ---------------------------------------------------------------------------
 # type validation
 # ---------------------------------------------------------------------------
@@ -476,3 +530,6 @@ def test_product_is_kraus_sandwich(t, dim):
     k = kraus_operator(a, t)
     assert np.array_equal(phased_product(a, b, t).matrix,
                           hermitize(k @ b.matrix @ k.conj().T))
+    # K is the one assembly of the one kernel, f_{1/2+it}(A)
+    dec = a.decomposition
+    assert np.array_equal(k, dec.apply(f_z(0.5 + 1j * t, dec.eigenvalues)))
