@@ -9,11 +9,9 @@ trace-preserving Kraus channels the phased product induces.
 
 from .linalg import (
     SpectralDecomposition,
-    apply_spectral_function,
     hermitian_eig,
     hermitize,
     is_hermitian,
-    is_psd,
     operator_norm,
 )
 from .effects import (
@@ -58,6 +56,7 @@ from .channels import (
     apply_operation,
     choi_input_marginal,
     choi_matrix,
+    choi_min_eigenvalue,
     compose,
     dual_apply,
     luders_channel,

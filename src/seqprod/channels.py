@@ -31,6 +31,7 @@ __all__ = [
     "apply_operation",
     "dual_apply",
     "choi_matrix",
+    "choi_min_eigenvalue",
     "choi_input_marginal",
     "compose",
 ]
@@ -58,7 +59,12 @@ class QuantumChannel:
         ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
+        shape = ops[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+            raise ValidationError(
+                f"Kraus operators must be square of dimension >= 1, got shape {shape}"
+            )
+        dim = shape[0]
         for k in ops:
             if k.shape != (dim, dim):
                 raise ValidationError(
@@ -130,7 +136,8 @@ def phased_channel(decomposition, t: float = 1.0) -> QuantumChannel:
     """Channel with Kraus elements A_j^{1/2} A_j^{it} over a decomposition.
 
     Trace preservation holds by construction: Σ K†K = Σ A_j = I, to the
-    tolerance the decomposition was validated with.
+    tolerance the decomposition was validated with.  The dual maps B to
+    Σ_j K_j† B K_j = Σ_j A_j ∘_{−t} B: this is the instrument of the product at −t.
     """
     if not isinstance(decomposition, EffectDecomposition):
         decomposition = EffectDecomposition(decomposition)
@@ -187,6 +194,20 @@ def choi_matrix(channel: QuantumChannel) -> np.ndarray:
     return choi
 
 
+def choi_min_eigenvalue(channel: QuantumChannel) -> float:
+    """Smallest eigenvalue of the Choi matrix, from the n x n Kraus Gram matrix.
+
+    Choi = V V† with V = [vec K_1 … vec K_n], so its d² eigenvalues are the
+    d² largest of V†V's, padded with zeros: exactly 0.0 when n < d², and
+    the (n − d²)-th smallest eigenvalue of V†V otherwise.
+    """
+    n, d2 = len(channel.kraus), channel.dim ** 2
+    if n < d2:
+        return 0.0
+    v = np.array([k.ravel() for k in channel.kraus])
+    return float(np.linalg.eigvalsh(v.conj() @ v.T)[n - d2])
+
+
 def choi_input_marginal(choi: np.ndarray) -> np.ndarray:
     """Partial trace of a Choi matrix over the output index."""
     n = choi.shape[0]
@@ -197,8 +218,15 @@ def choi_input_marginal(choi: np.ndarray) -> np.ndarray:
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel performing `first`, then `second`; Kraus set of all products."""
+    """Channel performing `first`, then `second`; Kraus set of all products.
+
+    Validated at √d·(s + f + s·f) for the operands' ``tp_tol``s s and f, which
+    bounds ‖G − I‖_F of its Gram sum G: G − I = (G₁ − I) + Σ K₁†(G₂ − I)K₁,
+    a positive map has ‖Φ(X)‖_op <= ‖Φ(I)‖_op·‖X‖_op, and ‖·‖_F <= √d·‖·‖_op.
+    """
     if second.dim != first.dim:
         raise ValidationError(f"dimension mismatch: {second.dim} vs {first.dim}")
     kraus = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
-    return QuantumChannel(kraus, label=f"{second.label} after {first.label}")
+    s, f = second.tp_tol, first.tp_tol
+    return QuantumChannel(kraus, label=f"{second.label} after {first.label}",
+                          tp_tol=math.sqrt(first.dim) * (s + f + s * f))

@@ -30,7 +30,7 @@ from .axioms import find_nonuniqueness_witness, run_axiom_suite
 from .channels import (
     EffectDecomposition,
     apply_channel,
-    choi_matrix,
+    choi_min_eigenvalue,
     phased_channel,
 )
 from .effects import DensityOperator, Effect, ValidationError
@@ -249,7 +249,7 @@ def cmd_channel(args) -> int:
         "t": t,
         "output": matrix_to_document(out.matrix),
         "trace": float(np.trace(out.matrix).real),
-        "min_choi_eigenvalue": float(np.linalg.eigvalsh(choi_matrix(channel))[0]),
+        "min_choi_eigenvalue": choi_min_eigenvalue(channel),
     })
     return EXIT_OK
 

@@ -31,7 +31,6 @@ import math
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
     SpectralDecomposition,
     ValidationError,
     hermitian_eig,
@@ -127,12 +126,12 @@ class Effect:
         m = hermitize(matrix)
         self._finish(m, hermitian_eig(m))
 
-    def _finish(self, m, dec):
+    def _finish(self, m, dec, top: float = 1.0):
         w = dec.eigenvalues
         lo, hi = float(w[0]), float(w[-1])
-        if lo < -SPECTRUM_TOL or hi > 1.0 + SPECTRUM_TOL:
+        if lo < -SPECTRUM_TOL or hi > top + SPECTRUM_TOL:
             raise ValidationError(
-                f"effect spectrum [{lo:.6e}, {hi:.6e}] escapes [0, 1] "
+                f"effect spectrum [{lo:.6e}, {hi:.6e}] escapes [0, {top:g}] "
                 f"by more than {SPECTRUM_TOL:g}"
             )
         w = np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
@@ -189,27 +188,16 @@ class Projection(Effect):
             raise ValidationError(f"matrix is not idempotent (‖P²−P‖ = {idem:.3e})")
 
 
-class DensityOperator:
-    """Positive semidefinite matrix of unit trace."""
+class DensityOperator(Effect):
+    """State: an effect of unit trace."""
 
     def __init__(self, matrix, *, trace_tol: float = 1e-10):
         m = hermitize(matrix)
-        lowest = float(np.linalg.eigvalsh(m)[0])
-        if lowest < -PSD_TOL:
-            raise ValidationError(
-                f"density operator has eigenvalue {lowest:.3e} < -{PSD_TOL:g}"
-            )
+        # a positive matrix's spectrum is bounded by its trace, here 1 + trace_tol
+        self._finish(m, hermitian_eig(m), top=1.0 + trace_tol)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > trace_tol:
             raise ValidationError(f"density operator trace {tr!r} is not 1")
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim})"
 
 
 def effect_power_it(a: Effect, t: float) -> np.ndarray:

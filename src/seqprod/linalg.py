@@ -16,7 +16,6 @@ error in the package; a solver's numpy ``LinAlgError`` propagates as raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,13 +25,10 @@ __all__ = [
     "hermitize",
     "is_hermitian",
     "hermitian_eig",
-    "apply_spectral_function",
     "operator_norm",
-    "is_psd",
 ]
 
 
-PSD_TOL = 1e-10  # admissible negative eigenvalue of a positive semidefinite matrix
 HERMITICITY_TOL = 1e-8  # admissible ‖M − M†‖_F per unit of max(1, ‖M‖_F)
 
 
@@ -91,21 +87,8 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
-def apply_spectral_function(
-    decomp: SpectralDecomposition, f: Callable[[float], complex]
-) -> np.ndarray:
-    """f(A) = sum of f(λ_k) v_k v_k† for a scalar function on the spectrum."""
-    values = np.array([complex(f(float(u))) for u in decomp.eigenvalues])
-    return decomp.apply(values)
-
-
 def operator_norm(matrix) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input."""
     m = _as_square(matrix)
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def is_psd(matrix) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian part is >= -PSD_TOL."""
-    return bool(np.linalg.eigvalsh(hermitize(matrix))[0] >= -PSD_TOL)
 

@@ -12,12 +12,14 @@ from seqprod import (
     apply_operation,
     choi_input_marginal,
     choi_matrix,
+    choi_min_eigenvalue,
     compose,
     dual_apply,
     kraus_operator,
     luders_channel,
     luders_product,
     phased_channel,
+    phased_product,
 )
 
 import helpers
@@ -90,8 +92,11 @@ def test_effect_decomposition_validation():
     (lambda: compose(QuantumChannel([np.eye(2)]), QuantumChannel([np.eye(3)])),
      "dimension mismatch"),
     (lambda: choi_input_marginal(np.eye(5)), "not a perfect square"),
+    (lambda: QuantumChannel([1.0]), r"square of dimension >= 1, got shape \(\)"),
+    (lambda: QuantumChannel([np.zeros((0, 0))]), r"dimension >= 1, got shape \(0, 0\)"),
 ], ids=["kraus-nan", "require-trace-preserving", "decomposition-dims",
-        "apply-operation-dims", "compose-dims", "choi-not-square"])
+        "apply-operation-dims", "compose-dims", "choi-not-square", "kraus-scalar",
+        "kraus-empty"])
 def test_malformed_channel_inputs_are_validation_errors(build, invariant):
     with pytest.raises(ValidationError, match=invariant):
         build()
@@ -155,6 +160,14 @@ def test_apply_channel_preserves_trace_and_positivity():
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-11
 
 
+def test_apply_channel_accepts_a_pure_output_within_tp_tol():
+    # Σ A_j = (1 + 5e-9)·I is within the default sum_tol, so the output of a
+    # pure state has trace and top eigenvalue 1 + 5e-9
+    a = Effect((0.5 + 2.5e-9) * np.eye(2))
+    out = apply_channel(phased_channel([a, a], 1.0), DensityOperator(np.diag([0.0, 1.0])))
+    assert abs(out.matrix[1, 1] - (1.0 + 5e-9)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # dual map
 # ---------------------------------------------------------------------------
@@ -189,6 +202,29 @@ def test_duality_identity():
         lhs = np.trace(apply_operation(ch, rho) @ x)
         rhs = np.trace(rho.matrix @ dual_apply(ch, x))
         assert abs(lhs - rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.5, 1.0, 3.0])
+def test_phased_channel_dual_is_product_at_minus_t(t):
+    # K = A^{1/2}A^{it}, so K†BK = A^{1/2}A^{-it}BA^{it}A^{1/2} = A ∘_{−t} B
+    rng = np.random.default_rng(13)
+    decomposition = helpers.random_effect_decomposition(rng, 4, 2)
+    a, b = decomposition.effects[0], helpers.random_effect(rng, 4)
+    one = QuantumChannel(phased_channel(decomposition, t).kraus[:1])
+    dual = dual_apply(one, b)
+    assert np.abs(dual - phased_product(a, b, -t).matrix).max() <= 1e-12
+    assert np.abs(dual - phased_product(a, b, t).matrix).max() > 1e-3
+
+
+def test_compose_validates_at_operand_tolerance():
+    # each operand is trace-preserving within its tp_tol = 1e-6; the composite
+    # deviates by √2·5e-7, above TP_TOL but within √d·(s + f + s·f)
+    a = Effect(np.diag([0.3, 0.6]))
+    b = Effect(np.eye(2) - a.matrix + 2.5e-7 * np.eye(2))
+    ch = phased_channel(EffectDecomposition([a, b], sum_tol=1e-6), 1.0)
+    composite = compose(ch, ch)
+    assert composite.trace_preserving
+    assert composite.tp_tol == np.sqrt(2) * (2e-6 + 1e-12)
 
 
 def test_composition_recovers_sequential_product():
@@ -231,6 +267,17 @@ def test_choi_psd_and_marginal_for_random_channels():
         choi = choi_matrix(ch)
         assert np.linalg.eigvalsh(choi)[0] >= -1e-10
         assert np.abs(choi_input_marginal(choi) - np.eye(dim)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dim, count", [(2, 2), (2, 4), (2, 5), (3, 9)])
+def test_choi_min_eigenvalue_matches_choi_matrix(dim, count):
+    rng = np.random.default_rng(10 * dim + count)
+    channel = phased_channel(helpers.random_effect_decomposition(rng, dim, count), 1.0)
+    reference = float(np.linalg.eigvalsh(choi_matrix(channel))[0])
+    certificate = choi_min_eigenvalue(channel)
+    assert abs(certificate - reference) <= 1e-12
+    if count < dim * dim:
+        assert certificate == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6])

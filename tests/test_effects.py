@@ -191,10 +191,18 @@ def test_malformed_operands_are_validation_errors(build, invariant):
 def test_density_operator_validation():
     with pytest.raises(ValidationError):
         DensityOperator(np.diag([0.7, 0.7]))
-    with pytest.raises(ValidationError, match=r"eigenvalue -2\.000e-01 < -1e-10"):
+    with pytest.raises(ValidationError, match=r"effect spectrum \[-2\.000000e-01, "):
         DensityOperator(np.diag([1.2, -0.2]))
     rho = DensityOperator(np.diag([0.3, 0.7]))
-    assert rho.dim == 2
+    assert rho.dim == 2 and repr(rho) == "DensityOperator(dim=2)"
+    # a state is an effect of unit trace, decomposed and snapped like any effect
+    assert issubclass(DensityOperator, Effect)
+    rho = DensityOperator(np.diag([1e-12, 1.0 - 1e-12]))
+    assert rho.decomposition.eigenvalues.tolist() == [0.0, 1.0 - 1e-12]
+    # a state's spectrum is bounded by its trace, within trace_tol of 1
+    DensityOperator(np.diag([0.0, 1.0 + 5e-9]), trace_tol=1e-8)
+    with pytest.raises(ValidationError, match="escapes"):
+        DensityOperator(np.diag([-1e-8, 1.0 + 1e-8]), trace_tol=1e-8)
 
 
 # ---------------------------------------------------------------------------

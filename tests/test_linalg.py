@@ -12,11 +12,10 @@ from seqprod import (
     DomainError,
     Effect,
     ValidationError,
-    apply_spectral_function,
+    f_z,
     hermitian_eig,
     hermitize,
     is_hermitian,
-    is_psd,
     operator_norm,
 )
 
@@ -83,34 +82,31 @@ def test_every_invalid_input_error_is_one_validation_error():
 
 def test_apply_identity_function():
     dec = hermitian_eig(np.diag([0.25, 0.81]))
-    out = apply_spectral_function(dec, lambda u: u)
+    out = dec.apply(dec.eigenvalues)
     assert np.allclose(out, np.diag([0.25, 0.81]), atol=1e-14)
 
 
 def test_apply_sqrt():
     dec = hermitian_eig(np.diag([0.25, 0.81]))
-    out = apply_spectral_function(dec, math.sqrt)
+    out = dec.apply(f_z(0.5, dec.eigenvalues))
     assert np.allclose(out, np.diag([0.5, 0.9]), atol=1e-14)
 
 
 def test_apply_phase_function_with_zero_branch():
     # oracle: per-eigenvalue scalar evaluation
     dec = hermitian_eig(np.diag([0.0, 0.25]))
-    f = lambda u: cmath.exp(1j * math.log(u)) if u > 0 else 0j
-    out = apply_spectral_function(dec, f)
+    out = dec.apply(f_z(1j, dec.eigenvalues))
     expected = np.diag([0.0, cmath.exp(1j * math.log(0.25))])
     assert np.abs(out - expected).max() < 1e-14
 
 
 def test_functional_calculus_homomorphism():
+    # f_z(1/2)·f_z(2) = f_z(5/2), i.e. √u·u² = u^{5/2}
     rng = np.random.default_rng(5)
     a = helpers.random_effect(rng, 5)
     dec = a.decomposition
-    f = lambda u: math.sqrt(u)
-    g = lambda u: u * u
-    fg = lambda u: math.sqrt(u) * u * u
-    lhs = apply_spectral_function(dec, fg)
-    rhs = apply_spectral_function(dec, f) @ apply_spectral_function(dec, g)
+    lhs = dec.apply(f_z(2.5, dec.eigenvalues))
+    rhs = dec.apply(f_z(0.5, dec.eigenvalues)) @ dec.apply(f_z(2.0, dec.eigenvalues))
     assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -134,12 +130,14 @@ def test_operator_norm_submultiplicative():
 
 
 def test_is_psd():
-    assert is_psd(np.diag([0.0, 0.5]))
-    assert not is_psd(np.diag([-0.01, 0.5]))
+    # positivity is checked where it is needed, by the effect constructor
+    Effect(np.diag([0.0, 0.5]))
+    with pytest.raises(ValidationError, match="escapes"):
+        Effect(np.diag([-0.01, 0.5]))
     rng = np.random.default_rng(3)
     b = helpers.random_effect(rng, 4)
     root = hermitian_eig(b.matrix).apply(np.sqrt(np.clip(hermitian_eig(b.matrix).eigenvalues, 0, None)))
-    assert is_psd(root @ root)
+    Effect(root @ root)
 
 
 def test_support_projection():
