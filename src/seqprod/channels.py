@@ -83,7 +83,7 @@ class QuantumChannel:
             top = float(np.linalg.eigvalsh(hermitize(gram))[-1])
             if top > 1.0 + tp_tol:
                 raise ValidationError(
-                    f"channel increases trace (max eigenvalue of ΣK†K = {top:.6e})"
+                    f"channel increases trace (max eigenvalue of ΣK†K = {top!r})"
                 )
         self.kraus = tuple(ops)
         self.dim = dim

@@ -6,8 +6,10 @@ matrix runs it through :func:`hermitize`, which averages away last-ulp drift
 instead of rejecting it.  :meth:`SpectralDecomposition.apply`, the one
 assembly V·diag(values)·V†, is a single GEMM and Hermitian only up to
 rounding, so the callers that need a Hermitian result hermitize it: effect
-construction, ``Effect.support`` and the projector interpolation.  Strict
-rejection (for I/O boundaries) is a separate concern, see :func:`is_hermitian`.
+construction, ``Effect.support`` and the projector interpolation.
+:func:`hermitian_eig` does not, as ``eigh`` reads one triangle: a caller with
+drifted data hermitizes first.  Strict rejection (for I/O boundaries) is a
+separate concern, see :func:`is_hermitian`.
 
 Invalid input raises :class:`ValidationError`, the base of every invalid-input
 error in the package; a solver's numpy ``LinAlgError`` propagates as raised.
@@ -79,11 +81,10 @@ class SpectralDecomposition:
 def hermitian_eig(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    The input is symmetrized first, so callers may pass data carrying
-    last-ulp drift.  numpy's ``LinAlgError`` propagates if the solver gives up.
+    ``eigh`` reads one triangle, so a caller with drifted data passes
+    ``hermitize(m)``.  numpy's ``LinAlgError`` propagates if the solver gives up.
     """
-    m = hermitize(matrix)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(_as_square(matrix))
     return SpectralDecomposition(w, v)
 
 

@@ -419,6 +419,8 @@ def test_witness_absent_for_commuting_pairs():
                                         seed=0, commuting_only=True)
     assert not result["found"]
     assert result["gap"] <= 1e-9
+    # the largest of noise-level gaps names no witness
+    assert result["witness"] is None and result["trial"] is None
 
 
 def test_witness_absent_at_t_zero():
@@ -426,3 +428,18 @@ def test_witness_absent_at_t_zero():
                                         seed=0)
     assert not result["found"]
     assert result["gap"] == 0.0
+    assert result["witness"] is None and result["trial"] is None
+
+
+def test_witness_search_builds_no_effect_for_a_product(monkeypatch):
+    calls = []
+    init = Effect.__init__
+
+    def counted(self, matrix):
+        calls.append(None)
+        init(self, matrix)
+
+    monkeypatch.setattr(Effect, "__init__", counted)
+    result = find_nonuniqueness_witness(trials=20, dims=(2, 16), t_values=(1.0, -1.0))
+    assert result["found"]
+    assert len(calls) == 0

@@ -438,7 +438,9 @@ def test_nonuniqueness_commuting_restriction_exits_four(capsys):
     code = main(["nonuniqueness", "--kind", "commuting", "--trials", "50",
                  "--dims", "2", "--t", "1"])
     assert code == 4
-    assert json.loads(capsys.readouterr().out)["gap"] <= 1e-9
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gap"] <= 1e-9
+    assert payload["witness"] is None and payload["trial"] is None
 
 
 def test_nonuniqueness_t_zero_exits_four(capsys):

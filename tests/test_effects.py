@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqprod.effects
+import seqprod.linalg
 from seqprod import (
     DensityOperator,
     DomainError,
     Effect,
     EffectDecomposition,
     Projection,
+    QuantumChannel,
     ValidationError,
     closed_form_2d,
     distinct_spectrum,
@@ -139,7 +142,7 @@ def test_effect_clamps_decomposition():
 
 def _built_from_matrix(lam, v):
     m = (v * lam) @ v.conj().T
-    raw = hermitian_eig(m)
+    raw = hermitian_eig(hermitize(m))
     snapped = np.where(raw.eigenvalues > 1e-10, raw.eigenvalues, 0.0)
     return Effect(m), Effect.from_eigensystem(snapped, raw.eigenvectors)
 
@@ -171,7 +174,8 @@ def test_projection_validation():
     rng = np.random.default_rng(1)
     p = Projection(helpers.random_projection_matrix(rng, 4, 2))
     assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) < 1e-11
-    with pytest.raises(ValidationError):
+    # idempotence alone decides: a spectrum off {0, 1} is not idempotent
+    with pytest.raises(ValidationError, match="not idempotent"):
         Projection(np.diag([0.5, 1.0]))
 
 
@@ -181,8 +185,14 @@ def test_projection_validation():
     (lambda: Effect.from_eigensystem([0.2, 0.5], [[1.0, 1.0], [0.0, 1.0]]),
      "not orthonormal"),
     (lambda: Projection(np.diag([1.0 + 5e-11, 0.0])), "not idempotent"),
+    # an out-of-range message prints the value that escapes, not a rounding of it
+    (lambda: Effect(np.eye(2) - np.diag([1.0, 0.0]) + 3e-9 * np.eye(2)), "1.000000003"),
+    (lambda: DensityOperator(np.diag([0.0, 1.0 + 3e-8]), trace_tol=1e-8), "1.00000001"),
+    (lambda: closed_form_2d(0.5, 0.5, 1 + 2e-12, 0, 0.5), "1.000000000002"),
+    (lambda: QuantumChannel([np.sqrt(1 + 5e-10) * np.eye(2)]), "1.0000000005"),
 ], ids=["eigensystem-shapes", "eigensystem-nan", "eigensystem-not-orthonormal",
-        "projection-not-idempotent"])
+        "projection-not-idempotent", "effect-above-one", "state-above-trace-edge",
+        "closed-form-above-one", "channel-increases-trace"])
 def test_malformed_operands_are_validation_errors(build, invariant):
     with pytest.raises(ValidationError, match=invariant):
         build()
@@ -191,7 +201,7 @@ def test_malformed_operands_are_validation_errors(build, invariant):
 def test_density_operator_validation():
     with pytest.raises(ValidationError):
         DensityOperator(np.diag([0.7, 0.7]))
-    with pytest.raises(ValidationError, match=r"effect spectrum \[-2\.000000e-01, "):
+    with pytest.raises(ValidationError, match=r"effect spectrum \[-0\.2, "):
         DensityOperator(np.diag([1.2, -0.2]))
     rho = DensityOperator(np.diag([0.3, 0.7]))
     assert rho.dim == 2 and repr(rho) == "DensityOperator(dim=2)"
@@ -203,6 +213,21 @@ def test_density_operator_validation():
     DensityOperator(np.diag([0.0, 1.0 + 5e-9]), trace_tol=1e-8)
     with pytest.raises(ValidationError, match="escapes"):
         DensityOperator(np.diag([-1e-8, 1.0 + 1e-8]), trace_tol=1e-8)
+
+
+@pytest.mark.parametrize("build", [Effect, DensityOperator])
+def test_construction_symmetrizes_once(build, monkeypatch):
+    # hermitian_eig takes the symmetrized matrix as it is
+    calls = []
+
+    def counted(matrix):
+        calls.append(None)
+        return hermitize(matrix)
+
+    monkeypatch.setattr(seqprod.effects, "hermitize", counted)
+    monkeypatch.setattr(seqprod.linalg, "hermitize", counted)
+    build(np.array([[0.5, 0.1j], [-0.1j, 0.5]]))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +563,9 @@ def test_product_is_kraus_sandwich(t, dim):
     k = kraus_operator(a, t)
     assert np.array_equal(phased_product(a, b, t).matrix,
                           hermitize(k @ b.matrix @ k.conj().T))
+    # the witness search compares these matrices without building effects
+    assert np.array_equal(product_on_selfadjoint(a, b.matrix, t),
+                          phased_product(a, b, t).matrix)
     # K is the one assembly of the one kernel, f_{1/2+it}(A)
     dec = a.decomposition
     assert np.array_equal(k, dec.apply(f_z(0.5 + 1j * t, dec.eigenvalues)))
