@@ -496,8 +496,8 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
             a, b = gen_commuting_pair(rng, dim)
         else:
             a, b = gen_generic(rng, dim), gen_generic(rng, dim)
-        ph = product_on_selfadjoint(a, b.matrix, t)
-        lu = product_on_selfadjoint(a, b.matrix, 0.0)
+        ph = product_on_selfadjoint(a, b, t)
+        lu = product_on_selfadjoint(a, b, 0.0)
         gap = operator_norm(ph - lu)
         if gap > gap_threshold and first_hit is None:
             first_hit = i

@@ -254,7 +254,9 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` dispatches to ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="seqprod",
         description="Sequential products on quantum effects: compute products, "
@@ -262,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, *, trials=None, dims=None, tol_names=None):
-        p.set_defaults(func=func)
+    def common(p, *, trials=None, dims=None, tol_names=None):
         if trials is not None:
             p.add_argument("--seed", type=int, default=0,
                            help=f"RNG seed (overridden by ${SEED_ENV_VAR})")
@@ -280,22 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a_file")
     p.add_argument("b_file")
     p.add_argument("--form", choices=("luders", "phased"), default="phased")
-    common(p, cmd_product)
+    common(p)
 
     p = sub.add_parser("axioms", help="run the S1-S5 suite plus the commutativity check")
     p.add_argument("--product", choices=("luders", "phased", "raw"), default="phased",
                    help="'raw' is a deliberately broken product for failure-path tests")
-    common(p, cmd_axioms, trials=1000, dims="2,3,4,6", tol_names=TOL_KEYWORDS["axioms"])
+    common(p, trials=1000, dims="2,3,4,6", tol_names=TOL_KEYWORDS["axioms"])
 
     p = sub.add_parser("nonuniqueness", help="search for a phased-vs-Lüders witness")
     p.add_argument("--kind", choices=("generic", "commuting"), default="generic")
-    common(p, cmd_nonuniqueness, trials=100, dims="2",
-           tol_names=TOL_KEYWORDS["nonuniqueness"])
+    common(p, trials=100, dims="2", tol_names=TOL_KEYWORDS["nonuniqueness"])
 
     p = sub.add_parser("channel", help="apply a phased channel built from a decomposition")
     p.add_argument("decomposition_file")
     p.add_argument("rho_file")
-    common(p, cmd_channel, tol_names=TOL_KEYWORDS["channel"])
+    common(p, tol_names=TOL_KEYWORDS["channel"])
 
     return parser
 
@@ -313,14 +313,14 @@ def _attach_t_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_t_values(argv))
+        args = build_parser().parse_args(_attach_t_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_<command> is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

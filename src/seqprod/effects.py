@@ -252,10 +252,13 @@ def product_on_selfadjoint(b: Effect, operand, t: float = 1.0) -> np.ndarray:
 
     This is the unique linear extension of the effect product to
     self-adjoint operands: the formula is linear in S, so differences and
-    real scalings of effects are handled in one shot.  On an effect S it is
-    bit for bit the matrix of the phased product.
+    real scalings of effects are handled in one shot.  ``operand`` is a
+    matrix, symmetrized first, or an :class:`Effect`, whose matrix is
+    Hermitian already.  On an effect S it is bit for bit the matrix of the
+    phased product.
     """
-    return hermitize(_sandwich(b, hermitize(operand), t))
+    s = operand.matrix if isinstance(operand, Effect) else hermitize(operand)
+    return hermitize(_sandwich(b, s, t))
 
 
 def closed_form_2d(a: float, b: float, x: float, y: complex, z: float,

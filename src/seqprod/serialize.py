@@ -5,12 +5,21 @@ entries row-major, length n².  Reports use the layout of
 ``json.dumps(obj, indent=2)``, except that floats are written with 17
 significant digits, so that serialized reports are byte-identical across
 runs and round-trip float64 exactly.
+
+Almost all of a report's floats are the ``entries`` of its matrix documents.
+So the writer emits a float matrix -- a non-empty list of equal-length,
+non-empty lists of ``float`` -- in one step: the layout is built as a
+template of ``%.17g`` slots, one per value, and applied to the flattened
+values with a single ``%``, which formats each float as
+``format(x, ".17g")`` does.  Every other value takes the recursive path.
+The reader, in turn, flattens the entries in one pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -26,10 +35,38 @@ __all__ = [
 INDENT = "  "  # one nesting level of the written JSON
 
 
+def _require_finite(x: float) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {float(x)!r}")
+
+
+def _float_rows(obj: list | tuple) -> list | None:
+    """Row-major values of a list of equal-length, non-empty float lists, else None.
+
+    Raises ``ValueError`` on a non-finite value, as the recursive path would.
+    """
+    if not (type(obj) is list and set(map(type, obj)) == {list}
+            and len(set(map(len, obj))) == 1):
+        return None
+    flat = list(chain.from_iterable(obj))
+    if set(map(type, flat)) != {float}:  # also refuses empty rows
+        return None
+    if not math.isfinite(sum(flat)):  # a non-finite value, or a sum that overflowed
+        for x in flat:
+            _require_finite(x)
+    return flat
+
+
+def _matrix_template(rows: int, width: int, pad: str) -> str:
+    """``json.dumps(indent=2)``'s layout of a rows x width list at ``pad``, one slot a value."""
+    inner = pad + INDENT
+    row = inner + "[\n" + ",\n".join([inner + INDENT + "%.17g"] * width) + "\n" + inner + "]"
+    return "[\n" + ",\n".join([row] * rows) + "\n" + pad + "]"
+
+
 def _encode(obj, pad: str) -> str:
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {float(obj)!r}")
+        _require_finite(obj)
         return format(obj, ".17g")
     inner = pad + INDENT
     if isinstance(obj, dict) and obj:
@@ -40,6 +77,9 @@ def _encode(obj, pad: str) -> str:
             items.append(inner + json.dumps(key) + ": " + _encode(value, inner))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
+        flat = _float_rows(obj)
+        if flat is not None:
+            return _matrix_template(len(obj), len(obj[0]), pad) % tuple(flat)
         items = [inner + _encode(value, inner) for value in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return json.dumps(obj)  # None, bool, int, str, {} and []; else json's TypeError
@@ -74,19 +114,24 @@ def document_to_matrix(doc) -> np.ndarray:
     if type(dim) is not int or dim < 1:
         raise ValidationError(f"matrix document dim must be an integer >= 1, got {dim!r}")
     try:
-        pairs = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix document entries are not [re, im] reals: {exc}") from exc
-    if pairs.shape != (dim * dim, 2):
+        shaped = len(entries) == dim * dim and set(map(len, entries)) == {2}
+    except TypeError:  # entries, or one of them, is not a sequence
+        shaped = False
+    if not shaped:
         raise ValidationError(f"matrix document needs {dim * dim} [re, im] entries, "
-                              f"got shape {pairs.shape}")
-    if not np.isfinite(pairs).all():
+                              f"got shape {np.shape(np.array(entries, dtype=object))}")
+    flat = list(chain.from_iterable(entries))
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+        raise ValidationError(f"matrix document entries are not [re, im] reals: {exc}") from exc
+    if not np.isfinite(values).all():
         raise ValidationError("matrix document entries are not all finite")
-    kinds = {type(x) for pair in entries for x in pair} - {int, float}
+    kinds = set(map(type, flat)) - {int, float}
     if kinds:
         raise ValidationError("matrix document entries must be JSON numbers, got "
                               + ", ".join(sorted(k.__name__ for k in kinds)))
-    m = pairs.view(np.complex128).reshape(dim, dim)
+    m = values.view(np.complex128).reshape(dim, dim)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: checked below
         if not is_hermitian(m):
             raise ValidationError("matrix document is not Hermitian")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
 from seqprod import Effect, EffectDecomposition, DensityOperator, haar_unitary
@@ -64,3 +67,25 @@ def power_iteration_norm(m: np.ndarray, iters: int = 500) -> float:
             return 0.0
         x = y / ny
     return float(np.sqrt((x.conj() @ gram @ x).real))
+
+
+def reference_dumps(obj, pad: str = "") -> str:
+    """Independent JSON writer: ``json.dumps(obj, indent=2)``'s layout, floats at 17
+    digits, one recursive call per value.  ``seqprod.serialize.dumps`` must match
+    it byte for byte and raise the same errors."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {float(obj)!r}")
+        return format(obj, ".17g")
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            items.append(inner + json.dumps(key) + ": " + reference_dumps(value, inner))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [inner + reference_dumps(value, inner) for value in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return json.dumps(obj)

@@ -5,6 +5,7 @@ import pytest
 
 import seqprod.axioms
 import seqprod.effects
+import seqprod.linalg
 from seqprod import (
     CheckReport,
     Effect,
@@ -24,6 +25,7 @@ from seqprod import (
     gen_projection,
     haar_unitary,
     hermitian_eig,
+    hermitize,
     luders_product,
     phased_product,
     projector_interpolation,
@@ -443,3 +445,19 @@ def test_witness_search_builds_no_effect_for_a_product(monkeypatch):
     result = find_nonuniqueness_witness(trials=20, dims=(2, 16), t_values=(1.0, -1.0))
     assert result["found"]
     assert len(calls) == 0
+
+
+def test_witness_search_symmetrizes_each_product_once(monkeypatch):
+    # B's matrix goes into both products as it is: an effect's matrix is Hermitian
+    calls = []
+
+    def counted(matrix):
+        calls.append(None)
+        return hermitize(matrix)
+
+    for module in (seqprod.linalg, seqprod.effects, seqprod.axioms):
+        monkeypatch.setattr(module, "hermitize", counted)
+    trials = 6
+    find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))
+    # per pair: one for each generated effect, one for each product
+    assert len(calls) == 4 * trials

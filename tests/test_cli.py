@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqprod.cli
 from seqprod import (
@@ -70,6 +72,9 @@ def test_document_rejects_non_hermitian_and_malformed():
         document_to_matrix({"dim": 1, "entries": [["x", 0]]})
     with pytest.raises(ValidationError, match="overflow"):
         document_to_matrix({"dim": 1, "entries": [[1e308, 0]]})
+    # a JSON integer past float range
+    with pytest.raises(ValidationError, match="not \\[re, im\\] reals: int too large"):
+        document_to_matrix({"dim": 1, "entries": [[10 ** 400, 0]]})
     # dim is a JSON integer, entries are JSON numbers: nothing is coerced
     for dim in (1.9, "1", True, 1.0):
         with pytest.raises(ValidationError, match="dim must be an integer >= 1"):
@@ -114,6 +119,51 @@ def test_dumps_formats_floats_deterministically(value, expected):
     else:
         with pytest.raises(expected):
             dumps(value)
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# floats the formatter treats specially: signed zero, subnormals, either side of
+# the switch to exponent notation (1e16 | 1e17, 1e-4 | 1e-5), and pairs whose
+# sum overflows
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, 1e16, 1e17, 1e-4, 1e-5,
+                                1e308, -1e308])
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+_SCALAR = (_FLOAT | st.integers(-3, 3) | st.booleans()
+           | _FLOAT.map(np.float64) | st.integers(-3, 3).map(np.int64))
+_FLOAT_MATRIX = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(_FLOAT, min_size=width, max_size=width),
+                           min_size=1, max_size=4))
+_ROWS = st.lists(st.lists(_FLOAT | _SCALAR, min_size=1, max_size=3), min_size=1, max_size=4)
+_JSONISH = st.recursive(
+    _FLOAT_MATRIX | _ROWS | st.tuples(_FLOAT, _FLOAT) | _SCALAR,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_JSONISH)
+def test_dumps_matches_the_recursive_writer_byte_for_byte(obj):
+    assert _outcome(dumps, obj) == _outcome(helpers.reference_dumps, obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=_FLOAT_MATRIX, bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+       where=st.integers(0, 11))
+def test_dumps_rejects_a_non_finite_matrix_entry_as_the_recursive_writer_does(matrix, bad,
+                                                                             where):
+    row = matrix[where % len(matrix)]
+    row[where % len(row)] = bad
+    doc = {"entries": matrix}
+    expected = (ValueError, f"cannot serialize non-finite float {bad!r}")
+    assert _outcome(dumps, doc) == _outcome(helpers.reference_dumps, doc) == expected
 
 
 _RNG = np.random.default_rng(9)
@@ -190,6 +240,12 @@ def test_product_invalid_input_exit_codes(tmp_path, capsys):
     big.write_text(dumps({"dim": 2, "entries": [[1e308, 0]] * 4}))
     assert main(["product", str(big), ok]) == 2
     assert "overflow" in capsys.readouterr().err
+
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 2, "entries": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0, 0]]}')
+    assert main(["product", str(huge), ok]) == 2
+    captured = capsys.readouterr()
+    assert "int too large" in captured.err and captured.out == ""
 
     coerced = tmp_path / "coerced.json"
     coerced.write_text('{"dim": 1, "entries": [["0.5", false]]}')
@@ -550,6 +606,17 @@ def test_error_raised_in_a_subcommand_maps_to_its_exit_code(command, code, err,
     captured = capsys.readouterr()
     assert captured.err == err
     assert captured.out == ""
+
+
+def test_parser_is_built_once_per_process(capsys):
+    seqprod.cli.build_parser.cache_clear()
+    reports = []
+    for _ in range(2):
+        assert main(["nonuniqueness", "--trials", "3", "--t=-1"]) == 0
+        reports.append(capsys.readouterr().out)
+    info = seqprod.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert reports[0] == reports[1]
 
 
 def test_overflowing_phase_exits_two(tmp_path, capsys):
