@@ -36,7 +36,7 @@ from .effects import (
     phased_product,  # unused here; the benchmark's tracer self-test patches this binding
     product_on_selfadjoint,
 )
-from .linalg import hermitize, operator_norm
+from .linalg import hermitize, operator_norm, require_tolerance
 from .serialize import matrix_to_document
 
 __all__ = [
@@ -64,7 +64,10 @@ DEFAULT_COMM_FLOOR = 0.01        # converse: least ‖AB − BA‖_F of a drawn 
 DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it must give
 CLUSTER_TOL = 1e-8               # eigenvalues this close share a cluster
 MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
+DEFAULT_TRIALS = 1000            # per axiom check
 DEFAULT_DIMS = (2, 3, 4, 6)
+DEFAULT_WITNESS_TRIALS = 100     # pairs drawn by the non-uniqueness search
+DEFAULT_WITNESS_DIMS = (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +79,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diagonal(r)
-    phase = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return q * phase
+    return q * (d / np.abs(d))
 
 
 def _generator(draw):
@@ -176,15 +178,19 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def _require_schedule(trials: int, seed: int, **axes) -> None:
-    """Reject trials < 1, a seed < 0 (no RNG takes it) or an empty axis."""
+def _require_schedule(trials: int, seed: int, dims, **axes) -> None:
+    """Reject trials < 1, a seed < 0 (no RNG takes it), an empty axis or a
+    dim that is not an integer >= 1, before the first trial."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    for name, values in axes.items():
+    for name, values in {"dims": dims, **axes}.items():
         if not values:
             raise ValidationError(f"{name} must name at least one value")
+    for dim in dims:
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValidationError(f"dims entries must be integers >= 1, got {dim!r}")
 
 
 def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
@@ -206,7 +212,8 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
     counts trials and failures per direction.
     """
     dims = tuple(dims)
-    _require_schedule(trials, seed, dims=dims)
+    _require_schedule(trials, seed, dims)
+    ceiling = require_tolerance("ceiling", ceiling)
     breakdown = {f"{d}_{key}": 0 for d in directions or ()
                  for key in ("trials", "failures")}
     executed = failures = attempts = 0
@@ -263,7 +270,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def check_s1(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S1: B ↦ A∘B is additive, and A∘B + A∘C stays below the identity.
 
@@ -285,7 +292,7 @@ def check_s1(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S1", trials, dims, seed, ceiling, trial)
 
 
-def check_s2(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s2(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S2: I∘A = A."""
     def trial(rng, dim, _i):
@@ -297,7 +304,7 @@ def check_s2(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S2", trials, dims, seed, ceiling, trial)
 
 
-def check_s3(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S3: A∘B = 0 implies B∘A = 0.
 
@@ -314,7 +321,7 @@ def check_s3(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S3", trials, dims, seed, ceiling, trial)
 
 
-def check_s4(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S4: if A∘B = B∘A then A∘(I−B) = (I−B)∘A and A∘(B∘C) = (A∘B)∘C.
 
@@ -332,7 +339,7 @@ def check_s4(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
     return _run_check("S4", trials, dims, seed, ceiling, trial)
 
 
-def check_s5(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
+def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S5: C commuting with A and B commutes with A∘B and with A + B.
 
@@ -354,7 +361,7 @@ def check_s5(put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
 
 
 def check_commutativity_theorem(
-    put: Product, *, trials: int = 1000, dims=DEFAULT_DIMS,
+    put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     seed: int = 0, comm_floor: float = DEFAULT_COMM_FLOOR,
     ceiling: float = DEFAULT_CEILING, separation_floor: float = DEFAULT_SEPARATION_FLOOR,
 ) -> CheckReport:
@@ -367,6 +374,8 @@ def check_commutativity_theorem(
     direction in ``breakdown``, whose ``min_converse_gap`` is the smallest
     converse gap measured (None when none was).
     """
+    comm_floor = require_tolerance("comm_floor", comm_floor)
+    separation_floor = require_tolerance("separation_floor", separation_floor)
     min_gap = None
 
     def trial(rng, dim, i):
@@ -400,7 +409,7 @@ def check_commutativity_theorem(
     return report
 
 
-def run_axiom_suite(put: Product, *, trials: int = 1000,
+def run_axiom_suite(put: Product, *, trials: int = DEFAULT_TRIALS,
                     dims=DEFAULT_DIMS, seed: int = 0,
                     ceiling: float = DEFAULT_CEILING,
                     comm_floor: float = DEFAULT_COMM_FLOOR,
@@ -472,7 +481,8 @@ def projector_interpolation(b: Effect, k: int) -> np.ndarray:
 # Non-uniqueness search
 # ---------------------------------------------------------------------------
 
-def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
+def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
+                               dims=DEFAULT_WITNESS_DIMS,
                                t_values=(1.0,), seed: int = 0,
                                gap_threshold: float = 0.01,
                                commuting_only: bool = False) -> dict:
@@ -485,7 +495,8 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
     """
     dims = tuple(dims)
     t_values = tuple(float(t) for t in t_values)
-    _require_schedule(trials, seed, dims=dims, t_values=t_values)
+    _require_schedule(trials, seed, dims, t_values=t_values)
+    gap_threshold = require_tolerance("gap_threshold", gap_threshold)
     best = None
     first_hit = None
     for i in range(trials):
@@ -504,25 +515,18 @@ def find_nonuniqueness_witness(*, trials: int = 100, dims=(2,),
         if best is None or gap > best[0]:
             best = (gap, i, dim, t, a, b, ph, lu)
     gap, trial, dim, t, a, b, ph, lu = best
-    found = bool(gap > gap_threshold)
-    lam = a.decomposition.eigenvalues
-    theta = None
-    if found and dim == 2 and lam[0] > 0.0:
-        theta = float(t * (np.log(lam[1]) - np.log(lam[0])))
-    return {
-        "found": found,
-        "gap": float(gap),
-        "threshold": float(gap_threshold),
-        "trial": int(trial) if found else None,
-        "first_hit_trial": first_hit,
-        "dim": int(dim) if found else None,
-        "t": float(t) if found else None,
-        "theta": theta,
-        "a_eigenvalues": [float(x) for x in lam] if found else None,
-        "witness": {
-            "a": _doc(a),
-            "b": _doc(b),
-            "phased": matrix_to_document(ph),
-            "luders": matrix_to_document(lu),
-        } if found else None,
-    }
+    report = {"found": False, "gap": gap, "threshold": gap_threshold,
+              "trial": None, "first_hit_trial": first_hit, "dim": None,
+              "t": None, "theta": None, "a_eigenvalues": None, "witness": None}
+    if gap > gap_threshold:
+        lam = a.decomposition.eigenvalues
+        report.update(
+            found=True, trial=trial, dim=int(dim), t=t,
+            theta=(float(t * (np.log(lam[1]) - np.log(lam[0])))
+                   if dim == 2 and lam[0] > 0.0 else None),
+            a_eigenvalues=[float(x) for x in lam],
+            witness={"a": _doc(a), "b": _doc(b),
+                     "phased": matrix_to_document(ph),
+                     "luders": matrix_to_document(lu)},
+        )
+    return report

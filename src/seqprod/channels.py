@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .effects import DensityOperator, Effect, ValidationError, kraus_operator
-from .linalg import hermitize
+from .linalg import hermitize, require_tolerance
 
 __all__ = [
     "DecompositionError",
@@ -56,6 +56,7 @@ class QuantumChannel:
     def __init__(self, kraus, label: str = "", *,
                  require_trace_preserving: bool = False,
                  tp_tol: float = TP_TOL):
+        tp_tol = require_tolerance("tp_tol", tp_tol)
         ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
@@ -96,9 +97,17 @@ class QuantumChannel:
 
 
 class EffectDecomposition:
-    """Finite list of effects summing to the identity."""
+    """Finite list of effects summing to the identity.
+
+    Two tolerances, one for each claim: every member is an :class:`Effect`,
+    validated on its own at ``SPECTRUM_TOL`` before it gets here, and
+    ``sum_tol`` bounds only ‖Σ A_j − I‖_F.  So a member whose spectrum leaves
+    [0, 1] by more than ``SPECTRUM_TOL`` is rejected whatever ``sum_tol`` is,
+    even when the sum it belongs to deviates by less than ``sum_tol``.
+    """
 
     def __init__(self, effects, *, sum_tol: float = DECOMPOSITION_TOL):
+        sum_tol = require_tolerance("sum_tol", sum_tol)
         effects = tuple(effects)
         if not effects:
             raise DecompositionError("decomposition needs at least one effect")

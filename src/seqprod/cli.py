@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .axioms import DEFAULT_DIMS, DEFAULT_TRIALS, DEFAULT_WITNESS_DIMS, DEFAULT_WITNESS_TRIALS
 from .axioms import find_nonuniqueness_witness, run_axiom_suite
 from .channels import (
     EffectDecomposition,
@@ -34,7 +35,8 @@ from .channels import (
     phased_channel,
 )
 from .effects import DensityOperator, Effect, ValidationError
-from .effects import luders_product, phased_product
+from .effects import luders_product, phased_product, product_on_selfadjoint
+from .linalg import require_tolerance
 from .serialize import document_to_matrix, dumps, matrix_to_document
 
 EXIT_OK = 0
@@ -98,13 +100,7 @@ def _parse_tolerances(args) -> dict[str, float]:
                 f"{args.command} reads no tolerance {name!r}; "
                 f"its names: {', '.join(sorted(names))}"
             )
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = math.nan
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValidationError(f"--tol {name} must be a finite real >= 0, got {value!r}")
-        overrides[name] = tol
+        overrides[name] = require_tolerance(f"--tol {name}", value)
     return overrides
 
 
@@ -177,8 +173,9 @@ def cmd_product(args) -> int:
     a = _load_effect(args.a_file)
     b = _load_effect(args.b_file)
     t = _single_t(args)
-    result = luders_product(a, b) if args.form == "luders" else phased_product(a, b, t)
-    _emit(args, matrix_to_document(result.matrix))
+    # phased_product's matrix bit for bit; 0 <= KBK† <= KK† <= I needs no Effect check
+    product = product_on_selfadjoint(a, b, 0.0 if args.form == "luders" else t)
+    _emit(args, matrix_to_document(product))
     return EXIT_OK
 
 
@@ -269,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0,
                            help=f"RNG seed (overridden by ${SEED_ENV_VAR})")
             p.add_argument("--trials", type=int, default=trials)
-            p.add_argument("--dims", default=dims, help="csv of dimensions")
+            p.add_argument("--dims", default=",".join(map(str, dims)),
+                           help="csv of dimensions")
         p.add_argument("--t", default="1", help="csv of phase parameters")
         p.add_argument("--json-out", default=None, help="also write the JSON here")
         if tol_names:
@@ -286,11 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the S1-S5 suite plus the commutativity check")
     p.add_argument("--product", choices=("luders", "phased", "raw"), default="phased",
                    help="'raw' is a deliberately broken product for failure-path tests")
-    common(p, trials=1000, dims="2,3,4,6", tol_names=TOL_KEYWORDS["axioms"])
+    common(p, trials=DEFAULT_TRIALS, dims=DEFAULT_DIMS, tol_names=TOL_KEYWORDS["axioms"])
 
     p = sub.add_parser("nonuniqueness", help="search for a phased-vs-Lüders witness")
     p.add_argument("--kind", choices=("generic", "commuting"), default="generic")
-    common(p, trials=100, dims="2", tol_names=TOL_KEYWORDS["nonuniqueness"])
+    common(p, trials=DEFAULT_WITNESS_TRIALS, dims=DEFAULT_WITNESS_DIMS,
+           tol_names=TOL_KEYWORDS["nonuniqueness"])
 
     p = sub.add_parser("channel", help="apply a phased channel built from a decomposition")
     p.add_argument("decomposition_file")
@@ -316,8 +315,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_attach_t_values(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     try:
         # looked up at call time, so a rebound cmd_<command> is the one that runs
         return globals()[f"cmd_{args.command}"](args)

@@ -35,6 +35,7 @@ from .linalg import (
     ValidationError,
     hermitian_eig,
     hermitize,
+    require_tolerance,
 )
 
 __all__ = [
@@ -188,6 +189,7 @@ class DensityOperator(Effect):
     """State: an effect of unit trace."""
 
     def __init__(self, matrix, *, trace_tol: float = 1e-10):
+        trace_tol = require_tolerance("trace_tol", trace_tol)
         m = hermitize(matrix)
         # a positive matrix's spectrum is bounded by its trace, here 1 + trace_tol
         self._finish(m, hermitian_eig(m), top=1.0 + trace_tol)

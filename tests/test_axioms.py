@@ -257,9 +257,12 @@ def test_only_the_reported_witness_is_serialized(check, monkeypatch):
 
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
                          ids=lambda f: f.__name__)
-@pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()}],
-                         ids=["trials=0", "trials=-3", "dims=()"])
+@pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()},
+                                      {"dims": (0,)}, {"dims": (2, -1)}, {"dims": (2.5,)}],
+                         ids=["trials=0", "trials=-3", "dims=()",
+                              "dims=(0,)", "dims=(2,-1)", "dims=(2.5,)"])
 def test_schedule_that_runs_nothing_is_rejected(fn, schedule):
+    # a dim that is not an integer >= 1 is invalid input, not a failed trial
     args = () if fn is find_nonuniqueness_witness else (phased(1.0),)
     (name,) = schedule
     with pytest.raises(ValidationError, match=name):

@@ -215,6 +215,24 @@ def test_product_phased_vs_luders_off_diagonal(tmp_path, capsys):
     assert abs(luders[0, 1] - 0.45 * 0.2) < 1e-12
 
 
+def test_product_builds_an_effect_per_operand_and_none_for_the_product(tmp_path, capsys,
+                                                                       monkeypatch):
+    calls = []
+    init = Effect.__init__
+
+    def counted(self, matrix):
+        calls.append(None)
+        init(self, matrix)
+
+    monkeypatch.setattr(Effect, "__init__", counted)
+    rng = np.random.default_rng(6)
+    a_file = write_doc(tmp_path / "a.json", helpers.random_effect(rng, 4).matrix)
+    b_file = write_doc(tmp_path / "b.json", helpers.random_effect(rng, 4).matrix)
+    assert main(["product", a_file, b_file, "--t", "1"]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
 def test_product_invalid_input_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -558,6 +576,22 @@ def test_channel_decomp_tolerance_override(tmp_path, capsys):
     assert main(["channel", str(d_file), rho_file, "--tol", "decomp=1e-6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["trace"] - 1.0) <= 1e-12
+
+
+def test_channel_member_is_an_effect_at_spectrum_tol_whatever_decomp(tmp_path, capsys):
+    # {P, I − P + 3e-9·I} sums to I within decomp (deviation 4.2e-9), but its
+    # second member leaves [0, 1], and decomp bounds only the sum
+    p = np.diag([1.0, 0.0])
+    d_file = tmp_path / "d.json"
+    d_file.write_text(dumps([matrix_to_document(p),
+                             matrix_to_document(np.eye(2) - p + 3e-9 * np.eye(2))]))
+    rho_file = write_doc(tmp_path / "rho.json", np.eye(2) / 2)
+    for tol in ([], ["--tol", "decomp=1e-6"]):
+        assert main(["channel", str(d_file), rho_file, *tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: effect spectrum [3e-09, 1.000000003] "
+                                "escapes [0, 1.0] by more than 1e-10\n")
+        assert captured.out == ""
 
 
 def test_channel_output_trace_checked_at_decomposition_tolerance(tmp_path, capsys):

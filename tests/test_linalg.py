@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -9,13 +10,20 @@ from hypothesis import strategies as st
 import seqprod
 from seqprod import (
     DecompositionError,
+    DensityOperator,
     DomainError,
     Effect,
+    EffectDecomposition,
+    QuantumChannel,
     ValidationError,
+    check_commutativity_theorem,
+    check_s2,
     f_z,
+    find_nonuniqueness_witness,
     hermitian_eig,
     hermitize,
     is_hermitian,
+    luders_product,
     operator_norm,
 )
 
@@ -78,6 +86,34 @@ def test_every_invalid_input_error_is_one_validation_error():
     assert issubclass(ValidationError, ValueError)
     assert issubclass(DomainError, ValidationError)
     assert issubclass(DecompositionError, ValidationError)
+
+
+def test_package_namespace_is_the_union_of_the_module_apis():
+    public = {name for name, value in vars(seqprod).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    modules = (seqprod.linalg, seqprod.effects, seqprod.axioms, seqprod.channels)
+    assert public == {name for m in modules for name in m.__all__}
+
+
+TOLERANCE_ENTRY_POINTS = {
+    "ceiling": lambda v: check_s2(luders_product, trials=2, dims=(2,), ceiling=v),
+    "comm_floor": lambda v: check_commutativity_theorem(
+        luders_product, trials=2, dims=(2,), comm_floor=v),
+    "separation_floor": lambda v: check_commutativity_theorem(
+        luders_product, trials=2, dims=(2,), separation_floor=v),
+    "gap_threshold": lambda v: find_nonuniqueness_witness(trials=2, gap_threshold=v),
+    "sum_tol": lambda v: EffectDecomposition([Effect(np.eye(2))], sum_tol=v),
+    "tp_tol": lambda v: QuantumChannel([np.eye(2)], tp_tol=v),
+    "trace_tol": lambda v: DensityOperator(np.eye(2) / 2, trace_tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("name", TOLERANCE_ENTRY_POINTS)
+def test_every_tolerance_is_a_finite_real_at_least_zero(name, value):
+    # a NaN compares false against every defect, so it would pass every check
+    with pytest.raises(ValidationError, match=f"{name} must be a finite real >= 0"):
+        TOLERANCE_ENTRY_POINTS[name](value)
 
 
 def test_apply_identity_function():
