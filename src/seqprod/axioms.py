@@ -9,7 +9,7 @@ essentially never satisfy them in floating point: S3 draws disjoint-support
 pairs only, and S4, S5 and the forward commutativity direction draw operands
 in a shared eigenbasis.  An S3 pair must give A∘B = 0 and B∘A = 0, so its
 defect is max(‖A∘B‖_F, ‖B∘A‖_F) against the same ceiling.  Every draw is a
-plain function ``gen_*(rng, dim)`` of a numpy Generator and a dim >= 1.
+plain function ``gen_*(rng, dim)`` of a numpy Generator and an integer dim >= 1.
 
 Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.
@@ -82,13 +82,21 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _require_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int, which must be a Python or numpy integer
+    (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _generator(draw):
-    """A public generator ``draw(rng, dim)`` that rejects dim < 1 before drawing."""
+    """A public generator ``draw(rng, dim)`` that takes dim as an integer >= 1."""
     @functools.wraps(draw)
     def checked(rng: np.random.Generator, dim: int):
-        if dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {dim}")
-        return draw(rng, dim)
+        return draw(rng, _require_int("dim", dim, 1))
     return checked
 
 
@@ -178,19 +186,16 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def _require_schedule(trials: int, seed: int, dims, **axes) -> None:
-    """Reject trials < 1, a seed < 0 (no RNG takes it), an empty axis or a
-    dim that is not an integer >= 1, before the first trial."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+def _schedule(trials, seed, dims, **axes) -> tuple[int, int, tuple[int, ...]]:
+    """``(trials, seed, dims)`` as Python ints, checked before the first trial:
+    trials >= 1, seed >= 0 (no RNG takes less), each dim >= 1, no empty axis."""
+    trials = _require_int("trials", trials, 1)
+    seed = _require_int("seed", seed, 0)
+    dims = tuple(_require_int("dims entry", dim, 1) for dim in dims)
     for name, values in {"dims": dims, **axes}.items():
         if not values:
             raise ValidationError(f"{name} must name at least one value")
-    for dim in dims:
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValidationError(f"dims entries must be integers >= 1, got {dim!r}")
+    return trials, seed, dims
 
 
 def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
@@ -211,8 +216,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
     ``directions[i % len(directions)]`` and the report's ``breakdown``
     counts trials and failures per direction.
     """
-    dims = tuple(dims)
-    _require_schedule(trials, seed, dims)
+    trials, seed, dims = _schedule(trials, seed, dims)
     ceiling = require_tolerance("ceiling", ceiling)
     breakdown = {f"{d}_{key}": 0 for d in directions or ()
                  for key in ("trials", "failures")}
@@ -493,9 +497,8 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     the reported ``theta`` is t·(ln a² − ln b²) with a² the larger
     eigenvalue of A, the phase that twists the off-diagonal entry.
     """
-    dims = tuple(dims)
     t_values = tuple(float(t) for t in t_values)
-    _require_schedule(trials, seed, dims, t_values=t_values)
+    trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
     gap_threshold = require_tolerance("gap_threshold", gap_threshold)
     best = None
     first_hit = None
@@ -521,7 +524,7 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     if gap > gap_threshold:
         lam = a.decomposition.eigenvalues
         report.update(
-            found=True, trial=trial, dim=int(dim), t=t,
+            found=True, trial=trial, dim=dim, t=t,
             theta=(float(t * (np.log(lam[1]) - np.log(lam[0])))
                    if dim == 2 and lam[0] > 0.0 else None),
             a_eigenvalues=[float(x) for x in lam],

@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -45,8 +44,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_AXIOM_FAILURE = 3
 EXIT_NO_WITNESS = 4
 
-SEED_ENV_VAR = "SEQPROD_SEED"
-
 # The --tol names each subcommand reads, mapped to the keyword of the library
 # call they feed.  Only overridden values are passed, so the library's
 # defaults are the only defaults.
@@ -69,12 +66,9 @@ class RunConfig:
 
 def _parse_csv_ints(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ValidationError(f"--dims expects a csv of integers: {exc}") from exc
-    if not values or any(v < 1 for v in values):
-        raise ValidationError("--dims entries must be integers >= 1")
-    return values
 
 
 def _parse_csv_floats(text: str) -> list[float]:
@@ -109,23 +103,11 @@ def _tol_kwargs(args, overrides: dict[str, float]) -> dict[str, float]:
     return {TOL_KEYWORDS[args.command][name]: v for name, v in overrides.items()}
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{SEED_ENV_VAR} must be an integer: {exc}") from exc
-    return args.seed
-
-
 def _config_from_args(args) -> RunConfig:
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
     return RunConfig(
         dims=_parse_csv_ints(args.dims),
         trials=args.trials,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         t_values=_parse_csv_floats(args.t),
         tolerance_overrides=_parse_tolerances(args),
     )
@@ -191,7 +173,7 @@ def cmd_axioms(args) -> int:
     groups = []
     all_passed = True
     for label, t, put in products:
-        reports = run_axiom_suite(put, trials=config.trials, dims=tuple(config.dims),
+        reports = run_axiom_suite(put, trials=config.trials, dims=config.dims,
                                   seed=config.seed, **tols)
         failed = sum(r.failures for r in reports)
         all_passed = all_passed and failed == 0
@@ -215,8 +197,8 @@ def cmd_nonuniqueness(args) -> int:
     config = _config_from_args(args)
     result = find_nonuniqueness_witness(
         trials=config.trials,
-        dims=tuple(config.dims),
-        t_values=tuple(config.t_values),
+        dims=config.dims,
+        t_values=config.t_values,
         seed=config.seed,
         commuting_only=(args.kind == "commuting"),
         **_tol_kwargs(args, config.tolerance_overrides),
@@ -263,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, trials=None, dims=None, tol_names=None):
         if trials is not None:
-            p.add_argument("--seed", type=int, default=0,
-                           help=f"RNG seed (overridden by ${SEED_ENV_VAR})")
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
             p.add_argument("--trials", type=int, default=trials)
             p.add_argument("--dims", default=",".join(map(str, dims)),
                            help="csv of dimensions")

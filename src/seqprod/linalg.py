@@ -73,10 +73,19 @@ def hermitize(matrix) -> np.ndarray:
 
 
 def is_hermitian(matrix) -> bool:
-    """Strict check ``‖M − M†‖_F <= HERMITICITY_TOL · max(1, ‖M‖_F)``."""
+    """Strict check ``‖M − M†‖_F <= HERMITICITY_TOL · max(1, ‖M‖_F)``.
+
+    Both sides are taken of M·2^−max(0, e), e the binary exponent of the
+    largest real or imaginary part.  The scaling is exact, so it moves no
+    decision, and it keeps both norms finite: ``inf <= tol·inf`` would accept
+    any matrix.
+    """
     m = _as_square(matrix)
+    top = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    scale = 2.0 ** -max(0, math.frexp(top)[1])
+    m = m * scale
     drift = float(np.linalg.norm(m - m.conj().T))
-    return drift <= HERMITICITY_TOL * max(1.0, float(np.linalg.norm(m)))
+    return drift <= HERMITICITY_TOL * max(scale, float(np.linalg.norm(m)))
 
 
 @dataclass(frozen=True)

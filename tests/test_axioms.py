@@ -1,4 +1,5 @@
 import functools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from seqprod import (
     projector_interpolation,
     run_axiom_suite,
 )
+from seqprod.serialize import dumps
 
 import helpers
 
@@ -101,9 +103,10 @@ def test_generators_are_deterministic(gen):
 
 
 @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
-@pytest.mark.parametrize("dim", [0, -2])
+@pytest.mark.parametrize("dim", [0, -2, 2.0, True])
 def test_generators_reject_dim_below_one(gen, dim):
-    with pytest.raises(ValidationError, match="dim must be >= 1"):
+    # a dim that is not an integer >= 1 is invalid input, not numpy's TypeError
+    with pytest.raises(ValidationError, match=r"dim must be (>= 1|an integer), got"):
         gen(np.random.default_rng(0), dim)
 
 
@@ -258,15 +261,37 @@ def test_only_the_reported_witness_is_serialized(check, monkeypatch):
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()},
-                                      {"dims": (0,)}, {"dims": (2, -1)}, {"dims": (2.5,)}],
+                                      {"dims": (0,)}, {"dims": (2, -1)}, {"dims": (2.5,)},
+                                      {"trials": 2.5}, {"trials": True},
+                                      {"seed": 1.5}, {"seed": True}],
                          ids=["trials=0", "trials=-3", "dims=()",
-                              "dims=(0,)", "dims=(2,-1)", "dims=(2.5,)"])
+                              "dims=(0,)", "dims=(2,-1)", "dims=(2.5,)",
+                              "trials=2.5", "trials=True", "seed=1.5", "seed=True"])
 def test_schedule_that_runs_nothing_is_rejected(fn, schedule):
-    # a dim that is not an integer >= 1 is invalid input, not a failed trial
+    # trials, seed and each dim must be integers (a bool is not): invalid
+    # input, not a failed trial, a rounded trial count or a reported `true`
     args = () if fn is find_nonuniqueness_witness else (phased(1.0),)
     (name,) = schedule
     with pytest.raises(ValidationError, match=name):
         fn(*args, **schedule)
+
+
+def test_numpy_integer_schedule_is_reported_as_python_ints():
+    # numpy integers are accepted; the reports carry Python ints, so they serialize
+    def halved(a, b):
+        return Effect(0.5 * luders_product(a, b).matrix)
+
+    reports = run_axiom_suite(halved, trials=np.int64(3), dims=np.array([2]),
+                              seed=np.int64(3))
+    assert reports[1].failures == 3
+    for report in reports:
+        assert type(report.trials) is int and type(report.seed) is int
+        assert report.witness is None or type(report.witness["dim"]) is int
+    dumps([asdict(report) for report in reports])
+    witness = find_nonuniqueness_witness(trials=np.int64(5), dims=np.array([2]),
+                                         seed=np.int64(3))
+    assert witness["found"] and type(witness["dim"]) is int
+    dumps(witness)
 
 
 def test_nonuniqueness_rejects_empty_t_values():

@@ -29,11 +29,6 @@ def write_doc(path, matrix):
     return str(path)
 
 
-@pytest.fixture(autouse=True)
-def clear_seed_env(monkeypatch):
-    monkeypatch.delenv("SEQPROD_SEED", raising=False)
-
-
 # ---------------------------------------------------------------------------
 # matrix documents
 # ---------------------------------------------------------------------------
@@ -250,6 +245,16 @@ def test_product_invalid_input_exit_codes(tmp_path, capsys):
     assert main(["product", str(non_hermitian), ok]) == 2
     assert "Hermitian" in capsys.readouterr().err
 
+    # an anti-Hermitian pair whose norms overflow is not Hermitian either;
+    # symmetrized it would read as 0.5·I
+    for entry in (1e155, 1e200, 1.7e308):
+        anti = tmp_path / "anti.json"
+        anti.write_text(dumps({"dim": 2, "entries": [[0.5, 0], [entry, 0],
+                                                     [-entry, 0], [0.5, 0]]}))
+        assert main(["product", ok, str(anti), "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "not Hermitian" in captured.err and captured.out == ""
+
     missing = str(tmp_path / "missing.json")
     assert main(["product", missing, ok]) == 2
     capsys.readouterr()
@@ -358,17 +363,15 @@ def test_axioms_broken_product_exits_three(capsys):
     assert payload["groups"][0]["failures"] > 0
 
 
-def test_axioms_seed_env_override(capsys, monkeypatch):
-    assert main(["axioms", "--trials", "10", "--dims", "2", "--seed", "5"]) == 0
-    baseline = json.loads(capsys.readouterr().out)
-    assert baseline["config"]["seed"] == 5
+def test_seed_comes_from_the_flag_alone(capsys, monkeypatch):
+    # no environment variable overrides --seed
+    argv = ["axioms", "--trials", "10", "--dims", "2", "--seed", "5"]
+    assert main(argv) == 0
+    baseline = capsys.readouterr().out
+    assert json.loads(baseline)["config"]["seed"] == 5
     monkeypatch.setenv("SEQPROD_SEED", "99")
-    assert main(["axioms", "--trials", "10", "--dims", "2", "--seed", "5"]) == 0
-    overridden = json.loads(capsys.readouterr().out)
-    assert overridden["config"]["seed"] == 99
-    monkeypatch.setenv("SEQPROD_SEED", "not-a-number")
-    assert main(["axioms", "--trials", "10", "--dims", "2"]) == 2
-    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == baseline
 
 
 def test_tol_override_flag(capsys):
@@ -444,9 +447,9 @@ def test_single_t_takes_a_negative_value_after_a_space(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, invariant", [
-    (["nonuniqueness", "--trials", "0"], "--trials must be >= 1"),
-    (["nonuniqueness", "--trials", "-3"], "--trials must be >= 1"),
-    (["axioms", "--trials", "0"], "--trials must be >= 1"),
+    (["nonuniqueness", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["nonuniqueness", "--trials", "-3"], "trials must be >= 1, got -3"),
+    (["axioms", "--trials", "0"], "trials must be >= 1, got 0"),
     (["axioms", "--trials", "5", "--tol", "defect=nan"], "--tol defect must be a finite"),
     (["nonuniqueness", "--tol", "gap=inf"], "--tol gap must be a finite"),
     (["axioms", "--trials", "5", "--tol", "defect=-1"], "--tol defect must be a finite"),
@@ -460,7 +463,9 @@ def test_trials_and_tolerances_out_of_domain_exit_two(argv, invariant, capsys):
 
 @pytest.mark.parametrize("argv, invariant", [
     (["axioms", "--dims", "x"], "--dims expects a csv of integers"),
-    (["axioms", "--dims", "0"], "--dims entries must be integers >= 1"),
+    (["axioms", "--dims", "0"], "dims entry must be >= 1, got 0"),
+    (["nonuniqueness", "--dims", "2,-1"], "dims entry must be >= 1, got -1"),
+    (["axioms", "--dims", ","], "dims must name at least one value"),
     (["axioms", "--t", "x"], "--t expects a csv of reals"),
     (["axioms", "--t", "nan"], "--t entries must be finite reals"),
     (["axioms", "--tol", "defect"], "--tol expects name=value"),
@@ -468,8 +473,9 @@ def test_trials_and_tolerances_out_of_domain_exit_two(argv, invariant, capsys):
     (["product", "eye.json", "eye.json", "--t", "1,2"], "expects exactly one value in --t"),
     (["channel", "object.json", "rho.json"], "must be a JSON array of matrix documents"),
     (["product", "array.json", "eye.json"], "matrix document must be a JSON object"),
-], ids=["dims-not-int", "dims-zero", "t-not-real", "t-nan", "tol-no-value",
-        "tol-not-real", "product-two-t", "decomposition-object", "matrix-array"])
+], ids=["dims-not-int", "dims-zero", "dims-negative", "dims-empty", "t-not-real", "t-nan",
+        "tol-no-value", "tol-not-real", "product-two-t", "decomposition-object",
+        "matrix-array"])
 def test_malformed_cli_inputs_exit_two(argv, invariant, tmp_path, capsys):
     write_doc(tmp_path / "eye.json", np.eye(2))
     write_doc(tmp_path / "rho.json", np.eye(2) / 2)
@@ -482,16 +488,14 @@ def test_malformed_cli_inputs_exit_two(argv, invariant, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["axioms", "--seed", "-1", "--trials", "2"], None),
-    (["nonuniqueness", "--trials", "2"], "-5"),
-], ids=["flag", "env"])
-def test_negative_seed_exits_two(argv, env, capsys, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("SEQPROD_SEED", env)
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--seed", "-1", "--trials", "2"],
+    ["nonuniqueness", "--seed", "-5", "--trials", "2"],
+], ids=["flag", "nonuniqueness-flag"])
+def test_negative_seed_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "seed must be >= 0" in captured.err
+    assert "seed must be >= 0, got " in captured.err
     assert captured.out == ""
 
 

@@ -26,6 +26,7 @@ from seqprod import (
     luders_product,
     operator_norm,
 )
+from seqprod.serialize import document_to_matrix, matrix_to_document
 
 import helpers
 
@@ -194,3 +195,14 @@ def test_hermitize_and_strict_validator():
     assert np.abs(h - h.conj().T).max() == 0.0
     assert is_hermitian(h)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("entry", [1e150, 1e155, 1e200, 1.7e308])
+def test_strict_validator_survives_norm_overflow(entry):
+    # an anti-Hermitian pair whose Frobenius norms overflow is not Hermitian;
+    # scaled by an exact power of two, a Hermitian matrix of such entries is
+    anti = np.array([[0.5, entry], [-entry, 0.5]])
+    assert not is_hermitian(anti)
+    assert is_hermitian(np.array([[entry, 1j * entry], [-1j * entry, entry]]))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        document_to_matrix(matrix_to_document(anti))
