@@ -28,11 +28,13 @@ from seqprod import (
     hermitian_eig,
     hermitize,
     luders_product,
+    operator_norm,
     phased_product,
+    product_on_selfadjoint,
     projector_interpolation,
     run_axiom_suite,
 )
-from seqprod.serialize import dumps
+from seqprod.serialize import dumps, matrix_to_document
 
 import helpers
 
@@ -478,14 +480,66 @@ def test_witness_search_builds_no_effect_for_a_product(monkeypatch):
 def test_witness_search_symmetrizes_each_product_once(monkeypatch):
     # B's matrix goes into both products as it is: an effect's matrix is Hermitian
     calls = []
+    norms = []
 
     def counted(matrix):
         calls.append(None)
         return hermitize(matrix)
 
+    def counted_norm(matrix):
+        norms.append(None)
+        return operator_norm(matrix)
+
     for module in (seqprod.linalg, seqprod.effects, seqprod.axioms):
         monkeypatch.setattr(module, "hermitize", counted)
+    monkeypatch.setattr(seqprod.axioms, "operator_norm", counted_norm)
     trials = 6
     find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))
-    # per pair: one for each generated effect, one for each product
-    assert len(calls) == 4 * trials
+    # one per generated effect; the two products are built for the reported pair alone
+    assert len(calls) == 2 * trials + 2
+    assert len(norms) == 1
+
+
+def _brute_force_search(trials, dims, t_values, seed, gap_threshold=0.01):
+    """The search with the standard-basis gap of every pair as its score, and
+    each pair's eigenbasis score beside that gap."""
+    best = None
+    first_hit = None
+    scored = []
+    for i in range(trials):
+        dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
+        rng = np.random.default_rng((seed, i))
+        a, b = gen_generic(rng, dim), gen_generic(rng, dim)
+        ph = product_on_selfadjoint(a, b, t)
+        lu = product_on_selfadjoint(a, b, 0.0)
+        gap = operator_norm(ph - lu)
+        scored.append((seqprod.axioms._gap_score(a, b, t), gap))
+        if gap > gap_threshold and first_hit is None:
+            first_hit = i
+        if best is None or gap > best[0]:
+            best = (gap, i, dim, t, a, b, ph, lu)
+    gap, trial, dim, t, a, b, ph, lu = best
+    lam = a.decomposition.eigenvalues
+    return scored, {
+        "found": gap > gap_threshold, "gap": gap, "trial": trial,
+        "first_hit_trial": first_hit, "dim": dim, "t": t,
+        "theta": float(t * (np.log(lam[1]) - np.log(lam[0]))) if dim == 2 else None,
+        "witness": {"a": matrix_to_document(a.matrix),
+                    "b": matrix_to_document(b.matrix),
+                    "phased": matrix_to_document(ph),
+                    "luders": matrix_to_document(lu)},
+    }
+
+
+@pytest.mark.parametrize("dims", [(2, 16), (64,)])
+@pytest.mark.parametrize("seed", range(5))
+def test_witness_search_matches_a_standard_basis_scan(seed, dims):
+    t_values = (-1.0, 0.5, 1.0, 3.0)
+    trials = 8 if dims == (2, 16) else 4
+    scored, expected = _brute_force_search(trials, dims, t_values, seed)
+    for score, gap in scored:
+        assert abs(score - gap) <= 1e-13 * max(1.0, gap)
+    result = find_nonuniqueness_witness(trials=trials, dims=dims,
+                                        t_values=t_values, seed=seed)
+    assert expected["found"]
+    assert {key: result[key] for key in expected} == expected
