@@ -23,6 +23,8 @@ keeps the nodes apart.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,7 +38,7 @@ from .effects import (
     phased_product,  # unused here; the benchmark's tracer self-test patches this binding
     product_on_selfadjoint,
 )
-from .linalg import hermitize, operator_norm, require_tolerance
+from .linalg import hermitize, require_tolerance
 from .serialize import matrix_to_document
 
 __all__ = [
@@ -76,6 +78,7 @@ DEFAULT_WITNESS_DIMS = (2,)
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    dim = _require_int("dim", dim, 1)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diagonal(r)
@@ -90,6 +93,15 @@ def _require_int(name: str, value, least: int) -> int:
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _require_real(name: str, value) -> float:
+    """``value`` as a float, which must be a finite Python or numpy real
+    (not a bool or a string)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
 
 
 def _generator(draw):
@@ -499,7 +511,7 @@ def _gap_score(a: Effect, b: Effect, t: float) -> float:
     weights = np.outer(k_t, k_t.conj()) - np.outer(k_0, k_0.conj())
     # eigvalsh reads one triangle, so the rounding asymmetry of V†BV is moot
     w = np.linalg.eigvalsh(weights * (v.conj().T @ b.matrix @ v))
-    return float(max(-w[0], w[-1]))
+    return float(np.abs(w).max())  # +0.0, never -0.0, for a zero M
 
 
 def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
@@ -509,15 +521,15 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
                                commuting_only: bool = False) -> dict:
     """Search for (A, B, t) separating the phased product from Lüders.
 
-    Ranks random draws by ‖A ∘_t B − A ∘ B‖_op computed in A's eigenbasis,
-    without forming either product.  The reported ``gap`` is recomputed in
-    the standard basis for the best draw alone, from the two product matrices
-    that the witness documents hold; a failed search reports only that gap,
-    with its witness fields None.  For a 2x2 witness the reported ``theta``
-    is t·(ln a² − ln b²) with a² the larger eigenvalue of A, the phase that
-    twists the off-diagonal entry.
+    Scores each random draw by ‖A ∘_t B − A ∘ B‖_op computed in A's
+    eigenbasis, without forming either product.  That one score ranks the
+    draws, sets ``first_hit_trial``, decides ``found`` and is the reported
+    ``gap``.  The two product matrices are built for a found witness alone;
+    a failed search reports only the gap, with its witness fields None.  For
+    a 2x2 witness the reported ``theta`` is t·(ln a² − ln b²) with a² the
+    larger eigenvalue of A, the phase that twists the off-diagonal entry.
     """
-    t_values = tuple(float(t) for t in t_values)
+    t_values = tuple(_require_real("t_values entry", t) for t in t_values)
     trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
     gap_threshold = require_tolerance("gap_threshold", gap_threshold)
     best = None
@@ -535,10 +547,7 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
             first_hit = i
         if best is None or score > best[0]:
             best = (score, i, dim, t, a, b)
-    _, trial, dim, t, a, b = best
-    ph = product_on_selfadjoint(a, b, t)
-    lu = product_on_selfadjoint(a, b, 0.0)
-    gap = operator_norm(ph - lu)
+    gap, trial, dim, t, a, b = best
     report = {"found": False, "gap": gap, "threshold": gap_threshold,
               "trial": None, "first_hit_trial": first_hit, "dim": None,
               "t": None, "theta": None, "a_eigenvalues": None, "witness": None}
@@ -550,7 +559,7 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
                    if dim == 2 and lam[0] > 0.0 else None),
             a_eigenvalues=[float(x) for x in lam],
             witness={"a": _doc(a), "b": _doc(b),
-                     "phased": matrix_to_document(ph),
-                     "luders": matrix_to_document(lu)},
+                     "phased": matrix_to_document(product_on_selfadjoint(a, b, t)),
+                     "luders": matrix_to_document(product_on_selfadjoint(a, b, 0.0))},
         )
     return report

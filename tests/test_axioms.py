@@ -1,4 +1,5 @@
 import functools
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -104,12 +105,13 @@ def test_generators_are_deterministic(gen):
         assert np.array_equal(x.matrix, y.matrix)
 
 
-@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("gen", GENERATORS + (haar_unitary,), ids=lambda g: g.__name__)
 @pytest.mark.parametrize("dim", [0, -2, 2.0, True])
 def test_generators_reject_dim_below_one(gen, dim):
     # a dim that is not an integer >= 1 is invalid input, not numpy's TypeError
+    rng = np.random.default_rng(0)
     with pytest.raises(ValidationError, match=r"dim must be (>= 1|an integer), got"):
-        gen(np.random.default_rng(0), dim)
+        gen(dim, rng) if gen is haar_unitary else gen(rng, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,20 @@ def test_nonuniqueness_rejects_empty_t_values():
         find_nonuniqueness_witness(trials=5, t_values=())
 
 
+@pytest.mark.parametrize("trials", [1, 4])
+@pytest.mark.parametrize("t_values", [(1.0, math.nan), (math.inf,), (-math.inf,),
+                                      (True,), ("1",), (0.5, 1j)],
+                         ids=["nan-second", "inf", "-inf", "True", "str", "complex"])
+def test_nonuniqueness_rejects_a_t_entry_that_is_not_a_finite_real(
+        t_values, trials, monkeypatch):
+    # rejected before the first pair is drawn, whether or not the schedule reaches it
+    draws = []
+    monkeypatch.setattr(seqprod.axioms, "gen_generic", lambda *args: draws.append(args))
+    with pytest.raises(ValidationError, match="t_values entry must be a finite real"):
+        find_nonuniqueness_witness(trials=trials, t_values=t_values)
+    assert draws == []
+
+
 def test_run_axiom_suite_shape():
     reports = run_axiom_suite(phased(0.5), trials=30,
                               dims=(2, 3), seed=3)
@@ -459,7 +475,9 @@ def test_witness_absent_at_t_zero():
     result = find_nonuniqueness_witness(trials=50, dims=(2,), t_values=(0.0,),
                                         seed=0)
     assert not result["found"]
-    assert result["gap"] == 0.0
+    # +0.0, which the report writes as 0, not -0
+    assert result["gap"] == 0.0 and math.copysign(1.0, result["gap"]) == 1.0
+    assert '"gap": 0,' in dumps(result)
     assert result["witness"] is None and result["trial"] is None
 
 
@@ -480,24 +498,31 @@ def test_witness_search_builds_no_effect_for_a_product(monkeypatch):
 def test_witness_search_symmetrizes_each_product_once(monkeypatch):
     # B's matrix goes into both products as it is: an effect's matrix is Hermitian
     calls = []
-    norms = []
+    products = []
 
     def counted(matrix):
         calls.append(None)
         return hermitize(matrix)
 
-    def counted_norm(matrix):
-        norms.append(None)
-        return operator_norm(matrix)
+    def counted_product(*args):
+        products.append(None)
+        return product_on_selfadjoint(*args)
 
     for module in (seqprod.linalg, seqprod.effects, seqprod.axioms):
         monkeypatch.setattr(module, "hermitize", counted)
-    monkeypatch.setattr(seqprod.axioms, "operator_norm", counted_norm)
+    monkeypatch.setattr(seqprod.axioms, "product_on_selfadjoint", counted_product)
     trials = 6
-    find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))
+    assert find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))["found"]
     # one per generated effect; the two products are built for the reported pair alone
     assert len(calls) == 2 * trials + 2
-    assert len(norms) == 1
+    assert len(products) == 2
+    # a failed search forms no product
+    calls.clear()
+    products.clear()
+    assert not find_nonuniqueness_witness(trials=trials, dims=(2, 3),
+                                          commuting_only=True)["found"]
+    assert len(calls) == 2 * trials
+    assert products == []
 
 
 def _brute_force_search(trials, dims, t_values, seed, gap_threshold=0.01):
@@ -542,4 +567,31 @@ def test_witness_search_matches_a_standard_basis_scan(seed, dims):
     result = find_nonuniqueness_witness(trials=trials, dims=dims,
                                         t_values=t_values, seed=seed)
     assert expected["found"]
-    assert {key: result[key] for key in expected} == expected
+    # the reported gap is the pair's eigenbasis score, bit for bit, so it lies
+    # within the score's bound of the standard-basis gap; every other field is exact
+    score, gap = scored[expected["trial"]]
+    assert abs(result["gap"] - gap) <= 1e-13 * max(1.0, gap)
+    assert {key: result[key] for key in expected} == dict(expected, gap=score)
+
+
+def _assert_decided_on_the_reported_gap(threshold, **search):
+    result = find_nonuniqueness_witness(gap_threshold=threshold, **search)
+    assert result["found"] == (result["first_hit_trial"] is not None) \
+        == (result["gap"] > threshold), (threshold, result["gap"])
+    return result
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_search_ranks_decides_and_reports_on_one_gap(seed):
+    # a threshold at the best pair's own score, or at its standard-basis gap a
+    # rounding error away, must not split found from first_hit_trial
+    search = {"trials": 20, "dims": (2, 3), "t_values": (1.0,), "seed": seed}
+    scored, _ = _brute_force_search(**search)
+    for threshold in max(scored):
+        _assert_decided_on_the_reported_gap(threshold, **search)
+    commuting = {"trials": 20, "dims": (2, 3), "seed": seed, "commuting_only": True}
+    noise = _assert_decided_on_the_reported_gap(0.01, **commuting)["gap"]
+    for threshold in (noise, noise / 2):
+        _assert_decided_on_the_reported_gap(threshold, **commuting)
+    for threshold in (0.0, 0.01):
+        _assert_decided_on_the_reported_gap(threshold, **dict(search, t_values=(0.0,)))
