@@ -12,7 +12,12 @@ defect is max(‖A∘B‖_F, ‖B∘A‖_F) against the same ceiling.  Every dra
 plain function ``gen_*(rng, dim)`` of a numpy Generator and an integer dim >= 1.
 
 Trials are independent given per-trial derived seeds, so identical
-configuration yields identical reports, witnesses included.
+configuration yields identical reports, witnesses included.  Each check is a
+draw, which makes a trial's RNG calls on its own stream, and an evaluation,
+which builds the derived operands and runs the product under test.  The
+driver builds the drawn effects of a block of trials in one stacked pass per
+dim, bit for bit as the generators build one draw, in stacks of bounded size;
+a draw that fails to build is its own trial's failure.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -26,7 +31,8 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .effects import (
     Effect,
     Projection,
     ValidationError,
+    _effects_from_eigensystems,
     f_z,
     phased_product,  # unused here; the benchmark's tracer self-test patches this binding
     product_on_selfadjoint,
@@ -66,6 +73,7 @@ DEFAULT_COMM_FLOOR = 0.01        # converse: least ‖AB − BA‖_F of a drawn 
 DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it must give
 CLUSTER_TOL = 1e-8               # eigenvalues this close share a cluster
 MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
+STACK_ENTRIES = 2**14            # matrix entries of the effects a check builds in one pass
 DEFAULT_TRIALS = 1000            # per axiom check
 DEFAULT_DIMS = (2, 3, 4, 6)
 DEFAULT_WITNESS_TRIALS = 100     # pairs drawn by the non-uniqueness search
@@ -79,10 +87,49 @@ DEFAULT_WITNESS_DIMS = (2,)
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     dim = _require_int("dim", dim, 1)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(*_gaussians(rng, dim))
+
+
+def _gaussians(rng, dim) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of a Haar basis's Gaussian matrix, in draw order."""
+    return rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+
+
+def _haar(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The Haar unitary of each Gaussian matrix re + i·im of a stack (..., d, d):
+    its QR factor Q with the phases of R's diagonal moved into Q's columns."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    d = r.diagonal(0, -2, -1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+class _Draw(NamedTuple):
+    """Effects in one Haar eigenbasis, as drawn: the basis's Gaussian parts
+    and one spectrum per effect.  Building it makes no RNG call."""
+
+    re: np.ndarray
+    im: np.ndarray
+    spectra: tuple[np.ndarray, ...]
+
+
+def _build_one(draw: _Draw) -> tuple[Effect, ...]:
+    """The effects of one draw: what a generator returns."""
+    v = _haar(draw.re, draw.im)
+    return tuple([Effect.from_eigensystem(lam, v) for lam in draw.spectra])
+
+
+def _build(draws: list[_Draw]) -> list[tuple[Effect, ...]]:
+    """The effects of each draw, all of one dim, bit for bit those of
+    ``_build_one``: one stacked QR for the bases and one stacked build of
+    the effects, through the same code run on stacks."""
+    if len(draws) == 1:
+        return [_build_one(draws[0])]
+    v = _haar(np.stack([d.re for d in draws]), np.stack([d.im for d in draws]))
+    counts = [len(d.spectra) for d in draws]
+    effects = iter(_effects_from_eigensystems(
+        np.array([lam for d in draws for lam in d.spectra]),
+        np.repeat(v, counts, axis=0)))
+    return [tuple(islice(effects, n)) for n in counts]
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -112,15 +159,30 @@ def _generator(draw):
     return checked
 
 
-def _in_basis(v: np.ndarray, *spectra) -> tuple[Effect, ...]:
-    """One effect per spectrum, all with the eigenvector columns of v."""
-    return tuple(Effect.from_eigensystem(lam, v) for lam in spectra)
+def _draw_generic(rng, dim) -> _Draw:
+    lam = rng.uniform(0.0, 1.0, dim)
+    return _Draw(*_gaussians(rng, dim), (lam,))
+
+
+def _draw_commuting_pair(rng, dim) -> _Draw:
+    g = _gaussians(rng, dim)
+    return _Draw(*g, (rng.uniform(0.0, 1.0, dim), rng.uniform(0.0, 1.0, dim)))
+
+
+def _draw_kernel_disjoint_pair(rng, dim) -> _Draw:
+    g = _gaussians(rng, dim)
+    k = int(rng.integers(1, dim)) if dim >= 2 else 1
+    lam_a = np.zeros(dim)
+    lam_a[:k] = rng.uniform(0.0, 1.0, k)
+    lam_b = np.zeros(dim)
+    lam_b[k:] = rng.uniform(0.0, 1.0, dim - k)
+    return _Draw(*g, (lam_a, lam_b))
 
 
 @_generator
 def gen_generic(rng, dim) -> Effect:
     """Uniform spectrum in [0, 1] in a Haar eigenbasis."""
-    return Effect.from_eigensystem(rng.uniform(0.0, 1.0, dim), haar_unitary(dim, rng))
+    return _build_one(_draw_generic(rng, dim))[0]
 
 
 @_generator
@@ -136,20 +198,13 @@ def gen_projection(rng, dim) -> Projection:
 @_generator
 def gen_commuting_pair(rng, dim) -> tuple[Effect, Effect]:
     """Two uniform spectra in one shared Haar eigenbasis."""
-    v = haar_unitary(dim, rng)
-    return _in_basis(v, rng.uniform(0.0, 1.0, dim), rng.uniform(0.0, 1.0, dim))
+    return _build_one(_draw_commuting_pair(rng, dim))
 
 
 @_generator
 def gen_kernel_disjoint_pair(rng, dim) -> tuple[Effect, Effect]:
     """A pair with disjoint supports in one shared Haar eigenbasis: AB = BA = 0."""
-    v = haar_unitary(dim, rng)
-    k = int(rng.integers(1, dim)) if dim >= 2 else 1
-    lam_a = np.zeros(dim)
-    lam_a[:k] = rng.uniform(0.0, 1.0, k)
-    lam_b = np.zeros(dim)
-    lam_b[k:] = rng.uniform(0.0, 1.0, dim - k)
-    return _in_basis(v, lam_a, lam_b)
+    return _build_one(_draw_kernel_disjoint_pair(rng, dim))
 
 
 @_generator
@@ -157,7 +212,7 @@ def gen_near_boundary(rng, dim) -> Effect:
     """Eigenvalues from {0, 1e-12, 1 − 1e-12, 1}, at least one exactly 0."""
     lam = rng.choice(np.array([0.0, 1e-12, 1.0 - 1e-12, 1.0]), size=dim)
     lam[int(rng.integers(dim))] = 0.0
-    return Effect.from_eigensystem(lam, haar_unitary(dim, rng))
+    return _build_one(_Draw(*_gaussians(rng, dim), (lam,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +229,10 @@ class CheckReport:
     ``trials`` counts hypothesis-satisfying executions only; ``witness``
     serializes the inputs of the first exception, else of the worst defect.
     ``worst_violation`` is the largest measured (finite) defect.  The fields
-    are declared in report key order, so ``dataclasses.asdict`` is the report.
+    are declared in report key order, so a shallow copy of them,
+    ``dict(vars(report))``, is the report; a deep copy such as
+    ``dataclasses.asdict`` gives the same bytes at the cost of copying every
+    witness document.
     """
 
     axiom: str
@@ -210,63 +268,136 @@ def _schedule(trials, seed, dims, **axes) -> tuple[int, int, tuple[int, ...]]:
     return trials, seed, dims
 
 
-def _run_check(axiom, trials, dims, seed, ceiling, trial_fn, *,
+def _attempts(draw, seed, dims, first, count):
+    """Yield ``(i, dim, operands)`` for attempts first .. first + count − 1.
+
+    Attempt i draws ``draw(_trial_rng(seed, i), dim, i)`` at
+    ``dim = dims[(i // 2) % len(dims)]``: None when its hypothesis cannot be
+    drawn, else a tuple of values.  ``operands`` is that tuple with each
+    :class:`_Draw` replaced by its effects, or the exception the draw or its
+    build raised, or None.  Attempts are drawn in blocks whose effects hold
+    at most STACK_ENTRIES matrix entries (an attempt beyond that is a block
+    of its own), and a block's draws are built in one stacked pass per dim.
+    A pass that raises is rebuilt one attempt at a time, so that each error
+    is charged to the attempt that caused it.
+    """
+    block, entries = [], 0
+    for i in range(first, first + count):
+        dim = dims[(i // 2) % len(dims)]
+        try:
+            drawn = draw(_trial_rng(seed, i), dim, i)
+        except Exception as exc:
+            drawn = exc
+        size = (dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
+                if isinstance(drawn, tuple) else 0)
+        if block and entries + size > STACK_ENTRIES:
+            yield from _built_block(block)
+            block, entries = [], 0
+        block.append((i, dim, drawn))
+        entries += size
+    yield from _built_block(block)
+
+
+def _with_effects(drawn: tuple, built) -> tuple:
+    """``drawn`` with each _Draw replaced by the effects ``next(built)`` gives."""
+    out = []
+    for x in drawn:
+        if isinstance(x, _Draw):
+            out.extend(next(built))
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _built_block(block):
+    """``_attempts``' outcomes, in attempt order, for one block of ``(i, dim, drawn)``."""
+    outcomes, by_dim = {}, {}
+    for i, dim, drawn in block:
+        if isinstance(drawn, tuple):
+            by_dim.setdefault(dim, []).append((i, drawn))
+        else:
+            outcomes[i] = drawn
+    for group in by_dim.values():
+        try:
+            built = iter(_build([x for _i, drawn in group for x in drawn
+                                 if isinstance(x, _Draw)]))
+        except Exception:
+            for i, drawn in group:
+                try:
+                    outcomes[i] = _with_effects(drawn, map(_build_one, [
+                        x for x in drawn if isinstance(x, _Draw)]))
+                except Exception as exc:
+                    outcomes[i] = exc
+        else:
+            for i, drawn in group:
+                outcomes[i] = _with_effects(drawn, built)
+    for i, dim, _drawn in block:
+        yield i, dim, outcomes[i]
+
+
+def _run_check(axiom, trials, dims, seed, ceiling, draw, evaluate, *,
                directions=None) -> CheckReport:
     """Drive trials until `trials` samples executed or attempts are exhausted.
 
-    ``trial_fn(rng, dim, i)`` returns None when the trial's hypothesis was
-    not met (not a sample), else ``(defect, witness)``: a sample that fails
-    when defect > ceiling, the worst defect's witness being reported.  The
-    witness holds the trial's operands as effects; only the one reported is
-    turned into matrix documents, once the run is over.  A
-    trial that judges itself returns ``(None, None)`` when it passed and
-    ``(None, witness)`` when it failed.  Any exception raised in a trial,
-    by the product under test or by a result it returned, counts as a
-    failure and never aborts the run.  The report's witness is the first
-    exception's, else the first self-judged failure's, else the worst
-    defect's.  With ``directions``, trial i runs in direction
-    ``directions[i % len(directions)]`` and the report's ``breakdown``
-    counts trials and failures per direction.
+    A trial is an attempt whose ``draw`` (see ``_attempts``) is not None;
+    ``evaluate(*operands)`` then returns None when the trial's hypothesis
+    was not met after all (not a sample), else ``(defect, witness)``: a
+    sample that fails when defect > ceiling, the worst defect's witness
+    being reported.  The witness holds the trial's operands as effects;
+    only the one reported is turned into matrix documents, once the run is
+    over.  A trial that judges itself returns ``(None, None)`` when it
+    passed and ``(None, witness)`` when it failed.  Any exception raised in
+    a trial, by its draw, by building its effects, by the product under
+    test or by a result it returned, counts as a failure and never aborts
+    the run.  The report's witness is the first exception's, else the first
+    self-judged failure's, else the worst defect's.  With ``directions``,
+    trial i runs in direction ``directions[i % len(directions)]`` and the
+    report's ``breakdown`` counts trials and failures per direction.
     """
     trials, seed, dims = _schedule(trials, seed, dims)
     ceiling = require_tolerance("ceiling", ceiling)
     breakdown = {f"{d}_{key}": 0 for d in directions or ()
                  for key in ("trials", "failures")}
     executed = failures = attempts = 0
+    limit = trials * MAX_ATTEMPT_FACTOR
     worst = 0.0
     worst_witness: Optional[dict] = None
     fail_witness: Optional[dict] = None
     exc_witness: Optional[dict] = None
-    while executed < trials and attempts < trials * MAX_ATTEMPT_FACTOR:
-        i = attempts
-        attempts += 1
-        dim = dims[(i // 2) % len(dims)]
-        rng = _trial_rng(seed, i)
-        try:
-            res = trial_fn(rng, dim, i)
-        except Exception as exc:
-            failed = True
-            if exc_witness is None:
-                exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
-        else:
-            if res is None:
+    while executed < trials and attempts < limit:
+        # an attempt executes at most one trial, so every attempt drawn here is needed
+        count = min(trials - executed, limit - attempts)
+        for i, dim, operands in _attempts(draw, seed, dims, attempts, count):
+            attempts += 1
+            if operands is None:
                 continue
-            defect, witness = res
-            if defect is None:
-                failed = witness is not None
-                if failed and fail_witness is None:
-                    fail_witness = {"trial": i, "dim": dim, **witness}
+            try:
+                if isinstance(operands, Exception):
+                    raise operands
+                res = evaluate(*operands)
+            except Exception as exc:
+                failed = True
+                if exc_witness is None:
+                    exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
             else:
-                failed = defect > ceiling
-                if defect > worst:
-                    worst = defect
-                    worst_witness = {"trial": i, "dim": dim, **witness}
-        executed += 1
-        failures += failed
-        if directions:
-            direction = directions[i % len(directions)]
-            breakdown[f"{direction}_trials"] += 1
-            breakdown[f"{direction}_failures"] += failed
+                if res is None:
+                    continue
+                defect, witness = res
+                if defect is None:
+                    failed = witness is not None
+                    if failed and fail_witness is None:
+                        fail_witness = {"trial": i, "dim": dim, **witness}
+                else:
+                    failed = defect > ceiling
+                    if defect > worst:
+                        worst = defect
+                        worst_witness = {"trial": i, "dim": dim, **witness}
+            executed += 1
+            failures += failed
+            if directions:
+                direction = directions[i % len(directions)]
+                breakdown[f"{direction}_trials"] += 1
+                breakdown[f"{direction}_failures"] += failed
     witness = exc_witness or fail_witness or worst_witness
     if witness is not None:
         witness = {key: _doc(value) if isinstance(value, Effect) else value
@@ -293,11 +424,11 @@ def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     C is drawn as a random mixture of I − B so that B + C <= I holds by
     construction.
     """
-    def trial(rng, dim, _i):
-        a = gen_generic(rng, dim)
-        b = gen_generic(rng, dim)
-        u = float(rng.uniform())
-        c = Effect(u * (np.eye(dim) - b.matrix))
+    def draw(rng, dim, _i):
+        return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.uniform())
+
+    def evaluate(a, b, u):
+        c = Effect(u * (np.eye(a.dim) - b.matrix))
         ab, ac = put(a, b), put(a, c)
         bc = Effect(b.matrix + c.matrix)
         defect = _fro(ab.matrix + ac.matrix - put(a, bc).matrix)
@@ -305,19 +436,19 @@ def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
         defect = max(defect, top - 1.0)
         return defect, {"a": a, "b": b, "c": c}
 
-    return _run_check("S1", trials, dims, seed, ceiling, trial)
+    return _run_check("S1", trials, dims, seed, ceiling, draw, evaluate)
 
 
 def check_s2(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S2: I∘A = A."""
-    def trial(rng, dim, _i):
-        a = gen_generic(rng, dim)
-        ident = Effect(np.eye(dim))
+    def evaluate(a):
+        ident = Effect(np.eye(a.dim))
         defect = _fro(put(ident, a).matrix - a.matrix)
         return defect, {"a": a}
 
-    return _run_check("S2", trials, dims, seed, ceiling, trial)
+    return _run_check("S2", trials, dims, seed, ceiling,
+                      lambda rng, dim, _i: (_draw_generic(rng, dim),), evaluate)
 
 
 def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -329,12 +460,13 @@ def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     Such a pair must give A∘B = 0 and B∘A = 0, so the defect is
     max(‖A∘B‖_F, ‖B∘A‖_F), judged against the ceiling like any other.
     """
-    def trial(rng, dim, _i):
-        a, b = gen_kernel_disjoint_pair(rng, dim)
+    def evaluate(a, b):
         defect = max(_fro(put(a, b).matrix), _fro(put(b, a).matrix))
         return defect, {"a": a, "b": b}
 
-    return _run_check("S3", trials, dims, seed, ceiling, trial)
+    return _run_check("S3", trials, dims, seed, ceiling,
+                      lambda rng, dim, _i: (_draw_kernel_disjoint_pair(rng, dim),),
+                      evaluate)
 
 
 def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -344,15 +476,16 @@ def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     The hypothesis is produced by drawing A, B with a shared eigenbasis;
     C is generic.
     """
-    def trial(rng, dim, _i):
-        a, b = gen_commuting_pair(rng, dim)
-        c = gen_generic(rng, dim)
-        comp = Effect(np.eye(dim) - b.matrix)
+    def draw(rng, dim, _i):
+        return _draw_commuting_pair(rng, dim), _draw_generic(rng, dim)
+
+    def evaluate(a, b, c):
+        comp = Effect(np.eye(a.dim) - b.matrix)
         d1 = _fro(put(a, comp).matrix - put(comp, a).matrix)
         d2 = _fro(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
         return max(d1, d2), {"a": a, "b": b, "c": c}
 
-    return _run_check("S4", trials, dims, seed, ceiling, trial)
+    return _run_check("S4", trials, dims, seed, ceiling, draw, evaluate)
 
 
 def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -362,18 +495,20 @@ def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     All three effects share one eigenbasis, with the spectra of A and B
     drawn so that A + B <= I always holds.
     """
-    def trial(rng, dim, _i):
-        v = haar_unitary(dim, rng)
+    def draw(rng, dim, _i):
+        g = _gaussians(rng, dim)
         lam_a = rng.uniform(0.0, 1.0, dim)
         lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
-        a, b, c = _in_basis(v, lam_a, lam_b, rng.uniform(0.0, 1.0, dim))
+        return (_Draw(*g, (lam_a, lam_b, rng.uniform(0.0, 1.0, dim))),)
+
+    def evaluate(a, b, c):
         ab = put(a, b)
         d1 = _fro(put(c, ab).matrix - put(ab, c).matrix)
         s = Effect(a.matrix + b.matrix)
         d2 = _fro(put(c, s).matrix - put(s, c).matrix)
         return max(d1, d2), {"a": a, "b": b, "c": c}
 
-    return _run_check("S5", trials, dims, seed, ceiling, trial)
+    return _run_check("S5", trials, dims, seed, ceiling, draw, evaluate)
 
 
 def check_commutativity_theorem(
@@ -394,20 +529,26 @@ def check_commutativity_theorem(
     separation_floor = require_tolerance("separation_floor", separation_floor)
     min_gap = None
 
-    def trial(rng, dim, i):
-        nonlocal min_gap
+    def draw(rng, dim, i):
         if i % 2 == 0:
-            a, b = gen_commuting_pair(rng, dim)
+            return "forward", _draw_commuting_pair(rng, dim)
+        if dim < 2:
+            return None  # every pair commutes; the commutator floor is unreachable
+        return "converse", _draw_generic(rng, dim), _draw_generic(rng, dim), rng
+
+    def evaluate(direction, a, b, rng=None):
+        nonlocal min_gap
+        if direction == "forward":
             pab, pba = put(a, b), put(b, a)
             defect = max(
                 _fro(pab.matrix - pba.matrix),
                 _fro(pab.matrix - a.matrix @ b.matrix),
             )
             return defect, {"direction": "forward", "a": a, "b": b}
-        if dim < 2:
-            return None  # every pair commutes; the commutator floor is unreachable
-        for _ in range(200):
-            a, b = gen_generic(rng, dim), gen_generic(rng, dim)
+        # the first pair comes drawn; redraws continue on the trial's stream
+        for redraw in range(200):
+            if redraw:
+                a, b = gen_generic(rng, a.dim), gen_generic(rng, a.dim)
             if _fro(a.matrix @ b.matrix - b.matrix @ a.matrix) >= comm_floor:
                 break
         else:
@@ -419,7 +560,7 @@ def check_commutativity_theorem(
         return None, {"direction": "converse", "gap": gap,
                       "a": a, "b": b}
 
-    report = _run_check("commutativity", trials, dims, seed, ceiling, trial,
+    report = _run_check("commutativity", trials, dims, seed, ceiling, draw, evaluate,
                         directions=("forward", "converse"))
     report.breakdown["min_converse_gap"] = min_gap
     return report

@@ -181,7 +181,7 @@ def cmd_axioms(args) -> int:
             "label": label,
             "t": t,
             "failures": failed,
-            "reports": [asdict(r) for r in reports],
+            "reports": [dict(vars(r)) for r in reports],
         })
     _emit(args, {
         "command": "axioms",

@@ -33,6 +33,8 @@ import numpy as np
 from .linalg import (
     SpectralDecomposition,
     ValidationError,
+    _checked_entries,
+    _hermitian_part,
     hermitian_eig,
     hermitize,
     require_tolerance,
@@ -110,6 +112,64 @@ def f_z(z: complex, u):
     return w[()]  # a scalar for scalar u
 
 
+def _snapped(w: np.ndarray, lo: float, hi: float, top: float = 1.0) -> np.ndarray:
+    """Spectra w, whose least and greatest eigenvalues are lo and hi, with
+    eigenvalues <= SUPPORT_CUTOFF set to exactly 0 and the rest clamped to 1;
+    a spectrum escaping [0, top] by more than SPECTRUM_TOL is rejected."""
+    if lo < -SPECTRUM_TOL or hi > top + SPECTRUM_TOL:
+        raise ValidationError(
+            f"effect spectrum [{lo!r}, {hi!r}] escapes [0, {top!r}] "
+            f"by more than {SPECTRUM_TOL:g}"
+        )
+    return np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
+
+
+def _eigensystems(w: np.ndarray, eigenvectors):
+    """(matrices, eigenvalues, eigenvectors) of the effects with spectra
+    w (..., d) and eigenvector columns (..., d, d), checked, sorted ascending
+    and snapped: one effect's arrays for a single eigensystem, a stack's for
+    a stack.
+
+    Each check reads the whole stack, so every item passes when it passes:
+    the orthonormality defect is the Frobenius norm over all items, which
+    bounds each item's.  The first check to fail raises the error it raises
+    for a single eigensystem.
+    """
+    v = np.asarray(eigenvectors, dtype=np.complex128)
+    if v.shape != w.shape + w.shape[-1:]:
+        raise ValidationError("eigensystem shapes do not match")
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise ValidationError("eigensystem contains NaN or Inf")
+    dim = w.shape[-1]
+    # ‖V†V − I‖_F as np.linalg.norm computes it, two real dot products, minus its dispatch
+    g = (v.conj().swapaxes(-1, -2) @ v - np.eye(dim)).ravel()
+    gram = math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag))
+    if gram > ORTHONORMALITY_TOL * dim:
+        raise ValidationError(
+            f"eigenvector columns are not orthonormal (defect {gram:.3e})"
+        )
+    order = np.argsort(w, axis=-1, kind="stable")
+    single = w.ndim == 1  # basic indexing, scalar reads: one draw pays no stack overhead
+    if single:
+        w, v = w[order], v[:, order]
+    else:
+        w = np.take_along_axis(w, order, -1)
+        v = np.take_along_axis(v, order[..., None, :], -1)
+    m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)  # each item's V·diag(w)·V†
+    if single:
+        return hermitize(m), _snapped(w, float(w[0]), float(w[-1])), v
+    m = _hermitian_part(_checked_entries(m))  # hermitize, item by item
+    return m, _snapped(w, float(w[..., 0].min()), float(w[..., -1].max())), v
+
+
+def _effects_from_eigensystems(w, v) -> list["Effect"]:
+    """One effect per eigensystem of a stack, w (n, d) and v (n, d, d), by
+    the checks and arithmetic of :meth:`Effect.from_eigensystem`, each
+    item's bit for bit.  Any item failing a check fails the whole stack."""
+    m, w, v = _eigensystems(np.asarray(w, dtype=np.float64), v)
+    return [Effect._built(m[k], w[k], v[k]) for k in range(len(w))]
+
+
 class Effect:
     """Hermitian matrix with spectrum in [0, 1].
 
@@ -128,35 +188,29 @@ class Effect:
 
     def _finish(self, m, dec, top: float = 1.0):
         w = dec.eigenvalues
-        lo, hi = float(w[0]), float(w[-1])
-        if lo < -SPECTRUM_TOL or hi > top + SPECTRUM_TOL:
-            raise ValidationError(
-                f"effect spectrum [{lo!r}, {hi!r}] escapes [0, {top!r}] "
-                f"by more than {SPECTRUM_TOL:g}"
-            )
-        w = np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
         self.matrix = m
-        self.decomposition = SpectralDecomposition(w, dec.eigenvectors)
+        self.decomposition = SpectralDecomposition(
+            _snapped(w, float(w[0]), float(w[-1]), top), dec.eigenvectors)
+
+    @staticmethod
+    def _built(m, w, v) -> "Effect":
+        """The effect with matrix m and the checked, snapped eigensystem (w, v)."""
+        eff = object.__new__(Effect)
+        eff.matrix = m
+        eff.decomposition = SpectralDecomposition(w, v)
+        return eff
 
     @staticmethod
     def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
-        """Build an effect from a known eigensystem, skipping re-decomposition."""
+        """Build an effect from a known eigensystem, skipping re-decomposition.
+
+        The one-item case of :func:`_effects_from_eigensystems`: the same
+        checks and arithmetic, run on a single eigensystem.
+        """
         w = np.asarray(eigenvalues, dtype=np.float64)
-        v = np.asarray(eigenvectors, dtype=np.complex128)
-        if w.ndim != 1 or v.shape != (w.shape[0], w.shape[0]):
+        if w.ndim != 1:
             raise ValidationError("eigensystem shapes do not match")
-        if not (np.isfinite(w).all() and np.isfinite(v).all()):
-            raise ValidationError("eigensystem contains NaN or Inf")
-        gram = float(np.linalg.norm(v.conj().T @ v - np.eye(w.shape[0])))
-        if gram > ORTHONORMALITY_TOL * w.shape[0]:
-            raise ValidationError(
-                f"eigenvector columns are not orthonormal (defect {gram:.3e})"
-            )
-        order = np.argsort(w, kind="stable")
-        dec = SpectralDecomposition(w[order], v[:, order])
-        eff = object.__new__(Effect)
-        eff._finish(hermitize(dec.reconstruct()), dec)
-        return eff
+        return Effect._built(*_eigensystems(w, eigenvectors))
 
     @property
     def dim(self) -> int:

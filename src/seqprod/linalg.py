@@ -59,7 +59,12 @@ def _as_square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    return _checked_entries(m)
+
+
+def _checked_entries(m: np.ndarray) -> np.ndarray:
+    """m, a square matrix or a stack of them, if of dimension >= 1 with finite entries."""
+    if m.shape[-1] == 0:
         raise ValidationError("matrices must have dimension >= 1")
     if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
@@ -68,8 +73,12 @@ def _as_square(matrix) -> np.ndarray:
 
 def hermitize(matrix) -> np.ndarray:
     """Hermitian part (M + M†)/2; exact on already-Hermitian input."""
-    m = _as_square(matrix)
-    return (m + m.conj().T) / 2.0
+    return _hermitian_part(_as_square(matrix))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 of a matrix, or of each matrix of a stack (..., d, d)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_hermitian(matrix) -> bool:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import seqprod.axioms
+import seqprod.cli
 import seqprod.effects
 import seqprod.linalg
 from seqprod import (
@@ -260,6 +261,241 @@ def test_only_the_reported_witness_is_serialized(check, monkeypatch):
     monkeypatch.setattr(seqprod.axioms, "matrix_to_document", counted)
     check(phased(1.0), trials=100, dims=(2, 3), seed=8)
     assert len(calls) <= 3 * (6 if check is run_axiom_suite else 1)
+
+
+# ---------------------------------------------------------------------------
+# stacked trial operands against the one-trial-at-a-time driver
+# ---------------------------------------------------------------------------
+
+def _ref_generic(rng, dim):
+    return Effect.from_eigensystem(rng.uniform(0.0, 1.0, dim), haar_unitary(dim, rng))
+
+
+def _ref_in_basis(v, *spectra):
+    return tuple(Effect.from_eigensystem(lam, v) for lam in spectra)
+
+
+def _ref_commuting_pair(rng, dim):
+    v = haar_unitary(dim, rng)
+    return _ref_in_basis(v, rng.uniform(0.0, 1.0, dim), rng.uniform(0.0, 1.0, dim))
+
+
+def _ref_kernel_disjoint_pair(rng, dim):
+    v = haar_unitary(dim, rng)
+    k = int(rng.integers(1, dim)) if dim >= 2 else 1
+    lam_a, lam_b = np.zeros(dim), np.zeros(dim)
+    lam_a[:k] = rng.uniform(0.0, 1.0, k)
+    lam_b[k:] = rng.uniform(0.0, 1.0, dim - k)
+    return _ref_in_basis(v, lam_a, lam_b)
+
+
+def _ref_trials(put, comm_floor=0.01, separation_floor=1e-6):
+    """The six checks as closures ``trial(rng, dim, i)`` that draw, build and
+    evaluate one trial with the one-draw builders: the stacked driver's reference."""
+    fro = seqprod.axioms._fro
+
+    def s1(rng, dim, _i):
+        a, b = _ref_generic(rng, dim), _ref_generic(rng, dim)
+        c = Effect(float(rng.uniform()) * (np.eye(dim) - b.matrix))
+        ab, ac = put(a, b), put(a, c)
+        defect = fro(ab.matrix + ac.matrix - put(a, Effect(b.matrix + c.matrix)).matrix)
+        top = float(np.linalg.eigvalsh(ab.matrix + ac.matrix)[-1])
+        return max(defect, top - 1.0), {"a": a, "b": b, "c": c}
+
+    def s2(rng, dim, _i):
+        a = _ref_generic(rng, dim)
+        return fro(put(Effect(np.eye(dim)), a).matrix - a.matrix), {"a": a}
+
+    def s3(rng, dim, _i):
+        a, b = _ref_kernel_disjoint_pair(rng, dim)
+        return max(fro(put(a, b).matrix), fro(put(b, a).matrix)), {"a": a, "b": b}
+
+    def s4(rng, dim, _i):
+        a, b = _ref_commuting_pair(rng, dim)
+        c = _ref_generic(rng, dim)
+        comp = Effect(np.eye(dim) - b.matrix)
+        d1 = fro(put(a, comp).matrix - put(comp, a).matrix)
+        d2 = fro(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
+        return max(d1, d2), {"a": a, "b": b, "c": c}
+
+    def s5(rng, dim, _i):
+        v = haar_unitary(dim, rng)
+        lam_a = rng.uniform(0.0, 1.0, dim)
+        lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
+        a, b, c = _ref_in_basis(v, lam_a, lam_b, rng.uniform(0.0, 1.0, dim))
+        ab, s = put(a, b), Effect(a.matrix + b.matrix)
+        d1 = fro(put(c, ab).matrix - put(ab, c).matrix)
+        d2 = fro(put(c, s).matrix - put(s, c).matrix)
+        return max(d1, d2), {"a": a, "b": b, "c": c}
+
+    gaps = []
+
+    def commutativity(rng, dim, i):
+        if i % 2 == 0:
+            a, b = _ref_commuting_pair(rng, dim)
+            pab, pba = put(a, b), put(b, a)
+            defect = max(fro(pab.matrix - pba.matrix), fro(pab.matrix - a.matrix @ b.matrix))
+            return defect, {"direction": "forward", "a": a, "b": b}
+        if dim < 2:
+            return None
+        for _ in range(200):
+            a, b = _ref_generic(rng, dim), _ref_generic(rng, dim)
+            if fro(a.matrix @ b.matrix - b.matrix @ a.matrix) >= comm_floor:
+                break
+        else:
+            return None
+        gap = fro(put(a, b).matrix - put(b, a).matrix)
+        gaps.append(gap)
+        if gap > separation_floor:
+            return None, None
+        return None, {"direction": "converse", "gap": gap, "a": a, "b": b}
+
+    return [("S1", s1), ("S2", s2), ("S3", s3), ("S4", s4), ("S5", s5),
+            ("commutativity", commutativity)], gaps
+
+
+def _ref_run_check(axiom, trials, dims, seed, trial_fn, directions=None,
+                   ceiling=1e-9):
+    """The driver that draws, builds and evaluates one attempt at a time."""
+    breakdown = {f"{d}_{key}": 0 for d in directions or () for key in ("trials", "failures")}
+    executed = failures = attempts = 0
+    worst = 0.0
+    worst_witness = fail_witness = exc_witness = None
+    while executed < trials and attempts < trials * seqprod.axioms.MAX_ATTEMPT_FACTOR:
+        i = attempts
+        attempts += 1
+        dim = dims[(i // 2) % len(dims)]
+        try:
+            res = trial_fn(np.random.default_rng((seed, i)), dim, i)
+        except Exception as exc:
+            failed = True
+            if exc_witness is None:
+                exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
+        else:
+            if res is None:
+                continue
+            defect, witness = res
+            if defect is None:
+                failed = witness is not None
+                if failed and fail_witness is None:
+                    fail_witness = {"trial": i, "dim": dim, **witness}
+            else:
+                failed = defect > ceiling
+                if defect > worst:
+                    worst, worst_witness = defect, {"trial": i, "dim": dim, **witness}
+        executed += 1
+        failures += failed
+        if directions:
+            direction = directions[i % len(directions)]
+            breakdown[f"{direction}_trials"] += 1
+            breakdown[f"{direction}_failures"] += failed
+    witness = exc_witness or fail_witness or worst_witness
+    if witness is not None:
+        witness = {key: matrix_to_document(value.matrix) if isinstance(value, Effect) else value
+                   for key, value in witness.items()}
+    return CheckReport(axiom=axiom, trials=executed, failures=failures,
+                       worst_violation=worst, seed=seed, witness=witness,
+                       breakdown=breakdown or None)
+
+
+def _per_trial_suite(put, trials, dims, seed):
+    checks, gaps = _ref_trials(put)
+    reports = [_ref_run_check(axiom, trials, dims, seed + k, trial,
+                              ("forward", "converse") if axiom == "commutativity" else None)
+               for k, (axiom, trial) in enumerate(checks)]
+    reports[-1].breakdown["min_converse_gap"] = min(gaps) if gaps else None
+    return reports
+
+
+SUITE_PRODUCTS = {"luders": luders_product, "phased(t=-1)": phased(-1.0),
+                  "phased(t=0.5)": phased(0.5), "phased(t=3)": phased(3.0),
+                  "raw": seqprod.cli._raw_matrix_product}
+
+
+@pytest.mark.parametrize("product, trials, seed", [
+    *[(name, 25, 0) for name in SUITE_PRODUCTS],
+    ("phased(t=0.5)", 200, 100007), ("raw", 200, 100007),
+])
+def test_stacked_suite_reports_equal_the_per_trial_driver(product, trials, seed):
+    put = SUITE_PRODUCTS[product]
+    # dim 1 rejects every converse attempt, so attempts run past the trials
+    dims = (1, 2, 3, 4, 6)
+    expected = _per_trial_suite(put, trials, dims, seed)
+    assert run_axiom_suite(put, trials=trials, dims=dims, seed=seed) == expected
+    assert dumps([dict(vars(r)) for r in expected]) == dumps([asdict(r) for r in expected])
+
+
+@pytest.mark.parametrize("budget", [1, 40, 200])
+def test_stack_boundaries_leave_the_reports_unchanged(budget, monkeypatch):
+    # budgets that split the blocks at every size: singles, stacks and both
+    dims, put = (1, 2, 3, 4, 6), phased(1.0)
+    expected = run_axiom_suite(put, trials=30, dims=dims, seed=5)
+    monkeypatch.setattr(seqprod.axioms, "STACK_ENTRIES", budget)
+    assert run_axiom_suite(put, trials=30, dims=dims, seed=5) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 64])
+def test_a_stacked_build_equals_one_draw_builds_bit_for_bit(dim):
+    draws = [seqprod.axioms._draw_commuting_pair(np.random.default_rng((dim, k)), dim)
+             for k in range(3)]
+    for stacked, draw in zip(seqprod.axioms._build(draws), draws):
+        for x, y in zip(stacked, seqprod.axioms._build_one(draw)):
+            assert np.array_equal(x.matrix, y.matrix)
+            assert np.array_equal(x.decomposition.eigenvalues, y.decomposition.eigenvalues)
+            assert np.array_equal(x.decomposition.eigenvectors, y.decomposition.eigenvectors)
+
+
+class _NaNUniform:
+    """A Generator whose uniform draws put NaN first, drawing as many numbers."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, *args, **kwargs):
+        out = np.array(self._rng.uniform(*args, **kwargs), dtype=float)
+        out.flat[0] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("check, gen, products", [
+    (check_s2, gen_generic, 1),
+    (check_s3, gen_kernel_disjoint_pair, 2),
+], ids=["S2", "S3"])
+def test_a_failed_draw_is_charged_to_its_own_trial(check, gen, products, monkeypatch):
+    # trial 5 shares its dim-2 stack with nine others, which all still run
+    original = seqprod.axioms._trial_rng
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", lambda seed, i: (
+        _NaNUniform(original(seed, i)) if i == 5 else original(seed, i)))
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return luders_product(a, b)
+
+    report = check(counted, trials=20, dims=(2, 3), seed=4)
+    with pytest.raises(ValidationError) as one_draw:
+        gen(_NaNUniform(original(4, 5)), 2)
+    assert (report.trials, report.failures) == (20, 1)
+    assert report.witness == {"trial": 5, "dim": 2, "error": str(one_draw.value)}
+    assert len(calls) == products * 19
+
+
+def test_stacks_stay_within_the_entry_budget(monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    run_axiom_suite(lambda a, b: b, trials=40, dims=(64,), seed=0)
+    stacked = [shape for shape in shapes if len(shape) == 3]
+    assert stacked  # two d = 64 bases still fit in one stack
+    assert max(math.prod(shape) for shape in stacked) <= seqprod.axioms.STACK_ENTRIES
 
 
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
