@@ -16,8 +16,14 @@ configuration yields identical reports, witnesses included.  Each check is a
 draw, which makes a trial's RNG calls on its own stream, and an evaluation,
 which builds the derived operands and runs the product under test.  The
 driver builds the drawn effects of a block of trials in one stacked pass per
-dim, bit for bit as the generators build one draw, in stacks of bounded size;
-a draw that fails to build is its own trial's failure.
+dim, bit for bit as the generators build one draw, in stacks of bounded size.
+Evaluations are written once, for stacks of trials.  The library's products,
+``luders_product`` and ``phased_product`` with t bound by keyword (as the CLI
+binds it), take stacks, so a block costs one product call per dim for each
+product a check applies; any other product is called once per trial, on
+single effects.  A draw that fails to build, or a stacked evaluation that
+raises, is redone one trial at a time, so each failure is its own trial's,
+with the message a single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -27,6 +33,7 @@ keeps the nodes apart.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import numbers
@@ -40,9 +47,12 @@ from .effects import (
     Effect,
     Projection,
     ValidationError,
+    _effect_stack,
+    _EffectStack,
     _effects_from_eigensystems,
     f_z,
-    phased_product,  # unused here; the benchmark's tracer self-test patches this binding
+    luders_product,
+    phased_product,
     product_on_selfadjoint,
 )
 from .linalg import hermitize, require_tolerance
@@ -118,18 +128,23 @@ def _build_one(draw: _Draw) -> tuple[Effect, ...]:
     return tuple([Effect.from_eigensystem(lam, v) for lam in draw.spectra])
 
 
-def _build(draws: list[_Draw]) -> list[tuple[Effect, ...]]:
-    """The effects of each draw, all of one dim, bit for bit those of
-    ``_build_one``: one stacked QR for the bases and one stacked build of
-    the effects, through the same code run on stacks."""
-    if len(draws) == 1:
-        return [_build_one(draws[0])]
-    v = _haar(np.stack([d.re for d in draws]), np.stack([d.im for d in draws]))
-    counts = [len(d.spectra) for d in draws]
-    effects = iter(_effects_from_eigensystems(
-        np.array([lam for d in draws for lam in d.spectra]),
-        np.repeat(v, counts, axis=0)))
-    return [tuple(islice(effects, n)) for n in counts]
+def _build(columns: list[list[_Draw]]) -> list[_EffectStack]:
+    """The effects of n trials' draws, all of one dim, as stacks, each item
+    bit for bit what ``_build_one`` builds: ``columns[p]`` holds the n draws
+    of operand p, each with the same number of spectra, and the result holds
+    one stack of n effects per spectrum of each operand, in order.  One
+    stacked QR gives the bases, and one stacked build the effects, each
+    basis checked once through the same code run on stacks."""
+    draws = [draw for column in columns for draw in column]
+    bases = _haar(np.stack([d.re for d in draws]), np.stack([d.im for d in draws]))
+    n = len(columns[0])
+    spectra, basis = [], []
+    for p, column in enumerate(columns):
+        for s in range(len(column[0].spectra)):
+            spectra += [draw.spectra[s] for draw in column]
+            basis += range(p * n, (p + 1) * n)
+    effects = _effects_from_eigensystems(np.array(spectra), bases, np.array(basis))
+    return [effects[j:j + n] for j in range(0, len(spectra), n)]
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -252,8 +267,15 @@ def _doc(effect: Effect) -> dict:
     return matrix_to_document(effect.matrix)
 
 
-def _fro(m) -> float:
-    return float(np.linalg.norm(m))
+def _norms(m: np.ndarray) -> list[float]:
+    """‖M‖_F of each matrix M of a stack (n, d, d), bit for bit as
+    ``np.linalg.norm(M)`` computes it: the sum of its real and imaginary
+    parts' dot products, each over the strided part as ``np.linalg.norm``
+    takes it, one item per matmul entry."""
+    m = np.ascontiguousarray(m)
+    re, im = m.real.reshape(len(m), 1, -1), m.imag.reshape(len(m), 1, -1)
+    square = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(square[:, 0, 0]).tolist()
 
 
 def _schedule(trials, seed, dims, **axes) -> tuple[int, int, tuple[int, ...]]:
@@ -268,18 +290,16 @@ def _schedule(trials, seed, dims, **axes) -> tuple[int, int, tuple[int, ...]]:
     return trials, seed, dims
 
 
-def _attempts(draw, seed, dims, first, count):
-    """Yield ``(i, dim, operands)`` for attempts first .. first + count − 1.
+def _attempts(draw, evaluate, put, seed, dims, first, count):
+    """Yield ``(i, dim, outcome)`` for attempts first .. first + count − 1.
 
     Attempt i draws ``draw(_trial_rng(seed, i), dim, i)`` at
     ``dim = dims[(i // 2) % len(dims)]``: None when its hypothesis cannot be
-    drawn, else a tuple of values.  ``operands`` is that tuple with each
-    :class:`_Draw` replaced by its effects, or the exception the draw or its
-    build raised, or None.  Attempts are drawn in blocks whose effects hold
-    at most STACK_ENTRIES matrix entries (an attempt beyond that is a block
-    of its own), and a block's draws are built in one stacked pass per dim.
-    A pass that raises is rebuilt one attempt at a time, so that each error
-    is charged to the attempt that caused it.
+    drawn, else a tuple of values.  Its outcome is None when it is no trial,
+    the exception its draw, its build or its evaluation raised, or what
+    ``evaluate`` returned for it.  Attempts are drawn in blocks whose effects
+    hold at most STACK_ENTRIES matrix entries (an attempt beyond that is a
+    block of its own) and evaluated a block at a time (see ``_evaluated``).
     """
     block, entries = [], 0
     for i in range(first, first + count):
@@ -291,68 +311,140 @@ def _attempts(draw, seed, dims, first, count):
         size = (dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
                 if isinstance(drawn, tuple) else 0)
         if block and entries + size > STACK_ENTRIES:
-            yield from _built_block(block)
+            yield from _evaluated(block, evaluate, put)
             block, entries = [], 0
         block.append((i, dim, drawn))
         entries += size
-    yield from _built_block(block)
+    yield from _evaluated(block, evaluate, put)
 
 
-def _with_effects(drawn: tuple, built) -> tuple:
-    """``drawn`` with each _Draw replaced by the effects ``next(built)`` gives."""
+def _takes_stacks(put) -> bool:
+    """Whether ``put`` is one of the library's products, which take stacks of
+    effects: ``luders_product``, or ``phased_product`` with t alone bound,
+    by keyword, as the CLI binds it."""
+    return put is luders_product or (
+        isinstance(put, functools.partial) and put.func is phased_product
+        and not put.args and put.keywords.keys() == {"t"})
+
+
+class _Outputs(list):
+    """Single-effect products, one per item, read as a stack."""
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return np.stack([x.matrix for x in self])
+
+
+def _per_item(put):
+    """``put`` on stacks: one call per item, on single effects, in item order."""
+    return lambda a, b: _Outputs(map(put, a, b))
+
+
+def _operands(drawns: list[tuple], build) -> list:
+    """The operands of trials of one layout: the effects of each _Draw position
+    as stacks, which ``build`` makes from the columns of draws (see
+    ``_build``), and each other position's values in a list."""
+    first = drawns[0]
+    stacks = iter(build([[drawn[p] for drawn in drawns]
+                         for p, x in enumerate(first) if isinstance(x, _Draw)]))
     out = []
-    for x in drawn:
+    for p, x in enumerate(first):
         if isinstance(x, _Draw):
-            out.extend(next(built))
+            out.extend(islice(stacks, len(x.spectra)))
         else:
-            out.append(x)
-    return tuple(out)
+            out.append([drawn[p] for drawn in drawns])
+    return out
 
 
-def _built_block(block):
-    """``_attempts``' outcomes, in attempt order, for one block of ``(i, dim, drawn)``."""
-    outcomes, by_dim = {}, {}
+def _built_one(columns: list[list[_Draw]]) -> list[_EffectStack]:
+    """``_build``'s stacks for one trial, its draws built as the generators build them."""
+    return [_EffectStack.of([e]) for (draw,) in columns for e in _build_one(draw)]
+
+
+def _evaluated(block, evaluate, put):
+    """Yield ``_attempts``' outcomes, in attempt order, for one block of ``(i, dim, drawn)``.
+
+    The trials of one dim and one layout of drawn values form a group, whose
+    draws are built in one stacked pass.  A library product evaluates a group
+    in one ``evaluate`` call on the stacks.  Any other product, and a group
+    whose stacked build or evaluation raised, is evaluated one trial at a
+    time, in trial order, on stacks of one, with single-effect product
+    calls; a trial whose draws failed to build stacked is rebuilt alone.  So
+    each error is charged to the trial that caused it, with the message a
+    single-effect run gives.
+    """
+    groups, operands, outcomes = {}, {}, {}
     for i, dim, drawn in block:
         if isinstance(drawn, tuple):
-            by_dim.setdefault(dim, []).append((i, drawn))
+            layout = tuple(len(x.spectra) if isinstance(x, _Draw) else None for x in drawn)
+            groups.setdefault((dim, layout), []).append((i, drawn))
         else:
             outcomes[i] = drawn
-    for group in by_dim.values():
+    for group in groups.values():
         try:
-            built = iter(_build([x for _i, drawn in group for x in drawn
-                                 if isinstance(x, _Draw)]))
+            stacked = _operands([drawn for _i, drawn in group], _build)
         except Exception:
             for i, drawn in group:
                 try:
-                    outcomes[i] = _with_effects(drawn, map(_build_one, [
-                        x for x in drawn if isinstance(x, _Draw)]))
+                    operands[i] = _operands([drawn], _built_one)
                 except Exception as exc:
                     outcomes[i] = exc
-        else:
-            for i, drawn in group:
-                outcomes[i] = _with_effects(drawn, built)
+            continue
+        if _takes_stacks(put):
+            try:
+                outcomes.update(zip([i for i, _drawn in group], evaluate(put, *stacked)))
+                continue
+            except Exception:
+                pass
+        for k, (i, _drawn) in enumerate(group):
+            operands[i] = [x[k:k + 1] for x in stacked]
+    single = _per_item(put)
     for i, dim, _drawn in block:
+        if i in operands:
+            try:
+                outcomes[i] = evaluate(single, *operands[i])[0]
+            except Exception as exc:
+                outcomes[i] = exc
         yield i, dim, outcomes[i]
 
 
-def _run_check(axiom, trials, dims, seed, ceiling, draw, evaluate, *,
+def _samples(defects, **fields) -> list[tuple[float, dict]]:
+    """Item k's sample ``(defects[k], witness)``, for each k: the witness
+    holds each stack field's item k as its matrix, and each other field as given."""
+    return [(defect, {key: x.matrix[k] if isinstance(x, _EffectStack) else x
+                      for key, x in fields.items()})
+            for k, defect in enumerate(defects)]
+
+
+def _worse(*defects) -> list[float]:
+    """Per item, the largest of its defects, by Python's ``max``."""
+    return [max(values) for values in zip(*defects)]
+
+
+def _run_check(axiom, put, trials, dims, seed, ceiling, draw, evaluate, *,
                directions=None) -> CheckReport:
-    """Drive trials until `trials` samples executed or attempts are exhausted.
+    """Drive trials of the product ``put`` until `trials` samples executed or
+    attempts are exhausted.
 
     A trial is an attempt whose ``draw`` (see ``_attempts``) is not None;
-    ``evaluate(*operands)`` then returns None when the trial's hypothesis
-    was not met after all (not a sample), else ``(defect, witness)``: a
-    sample that fails when defect > ceiling, the worst defect's witness
-    being reported.  The witness holds the trial's operands as effects;
-    only the one reported is turned into matrix documents, once the run is
-    over.  A trial that judges itself returns ``(None, None)`` when it
-    passed and ``(None, witness)`` when it failed.  Any exception raised in
-    a trial, by its draw, by building its effects, by the product under
-    test or by a result it returned, counts as a failure and never aborts
-    the run.  The report's witness is the first exception's, else the first
-    self-judged failure's, else the worst defect's.  With ``directions``,
-    trial i runs in direction ``directions[i % len(directions)]`` and the
-    report's ``breakdown`` counts trials and failures per direction.
+    ``evaluate(put, *operands)`` takes stacks of the operands of n trials,
+    with its product on stacks, and returns for each trial None when its
+    hypothesis was not met after all (not a sample), else ``(defect,
+    witness)``: a sample that fails when defect > ceiling, the worst defect's
+    witness being reported.  The witness holds the trial's operands as
+    matrices; only the one reported is turned into matrix documents, once
+    the run is over.  A trial that judges itself gives ``(None, None)`` when
+    it passed and ``(None, witness)`` when it failed.  ``luders_product``
+    and ``phased_product`` with t bound take stacks, so a block of trials of
+    one dim costs one product call per product the check applies; any other
+    product is called once per trial on single effects.  Any exception
+    raised in a trial, by its draw, by building its effects, by the product
+    under test or by a result it returned, counts as a failure of that trial
+    and never aborts the run.  Outcomes are walked in trial order, and the
+    report's witness is the first exception's, else the first self-judged
+    failure's, else the worst defect's.  With ``directions``, trial i runs in
+    direction ``directions[i % len(directions)]`` and the report's
+    ``breakdown`` counts trials and failures per direction.
     """
     trials, seed, dims = _schedule(trials, seed, dims)
     ceiling = require_tolerance("ceiling", ceiling)
@@ -367,22 +459,16 @@ def _run_check(axiom, trials, dims, seed, ceiling, draw, evaluate, *,
     while executed < trials and attempts < limit:
         # an attempt executes at most one trial, so every attempt drawn here is needed
         count = min(trials - executed, limit - attempts)
-        for i, dim, operands in _attempts(draw, seed, dims, attempts, count):
+        for i, dim, outcome in _attempts(draw, evaluate, put, seed, dims, attempts, count):
             attempts += 1
-            if operands is None:
+            if outcome is None:
                 continue
-            try:
-                if isinstance(operands, Exception):
-                    raise operands
-                res = evaluate(*operands)
-            except Exception as exc:
+            if isinstance(outcome, Exception):
                 failed = True
                 if exc_witness is None:
-                    exc_witness = {"trial": i, "dim": dim, "error": str(exc)}
+                    exc_witness = {"trial": i, "dim": dim, "error": str(outcome)}
             else:
-                if res is None:
-                    continue
-                defect, witness = res
+                defect, witness = outcome
                 if defect is None:
                     failed = witness is not None
                     if failed and fail_witness is None:
@@ -400,7 +486,7 @@ def _run_check(axiom, trials, dims, seed, ceiling, draw, evaluate, *,
                 breakdown[f"{direction}_failures"] += failed
     witness = exc_witness or fail_witness or worst_witness
     if witness is not None:
-        witness = {key: _doc(value) if isinstance(value, Effect) else value
+        witness = {key: matrix_to_document(value) if isinstance(value, np.ndarray) else value
                    for key, value in witness.items()}
     return CheckReport(
         axiom=axiom,
@@ -427,27 +513,25 @@ def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     def draw(rng, dim, _i):
         return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.uniform())
 
-    def evaluate(a, b, u):
-        c = Effect(u * (np.eye(a.dim) - b.matrix))
+    def evaluate(put, a, b, u):
+        c = _effect_stack(np.array(u)[:, None, None] * (np.eye(a.dim) - b.matrix))
         ab, ac = put(a, b), put(a, c)
-        bc = Effect(b.matrix + c.matrix)
-        defect = _fro(ab.matrix + ac.matrix - put(a, bc).matrix)
-        top = float(np.linalg.eigvalsh(ab.matrix + ac.matrix)[-1])
-        defect = max(defect, top - 1.0)
-        return defect, {"a": a, "b": b, "c": c}
+        bc = _effect_stack(b.matrix + c.matrix)
+        defect = _norms(ab.matrix + ac.matrix - put(a, bc).matrix)
+        top = np.linalg.eigvalsh(ab.matrix + ac.matrix)[:, -1]
+        return _samples(_worse(defect, (top - 1.0).tolist()), a=a, b=b, c=c)
 
-    return _run_check("S1", trials, dims, seed, ceiling, draw, evaluate)
+    return _run_check("S1", put, trials, dims, seed, ceiling, draw, evaluate)
 
 
 def check_s2(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S2: I∘A = A."""
-    def evaluate(a):
-        ident = Effect(np.eye(a.dim))
-        defect = _fro(put(ident, a).matrix - a.matrix)
-        return defect, {"a": a}
+    def evaluate(put, a):
+        ident = _effect_stack(np.broadcast_to(np.eye(a.dim), a.matrix.shape))
+        return _samples(_norms(put(ident, a).matrix - a.matrix), a=a)
 
-    return _run_check("S2", trials, dims, seed, ceiling,
+    return _run_check("S2", put, trials, dims, seed, ceiling,
                       lambda rng, dim, _i: (_draw_generic(rng, dim),), evaluate)
 
 
@@ -460,11 +544,11 @@ def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     Such a pair must give A∘B = 0 and B∘A = 0, so the defect is
     max(‖A∘B‖_F, ‖B∘A‖_F), judged against the ceiling like any other.
     """
-    def evaluate(a, b):
-        defect = max(_fro(put(a, b).matrix), _fro(put(b, a).matrix))
-        return defect, {"a": a, "b": b}
+    def evaluate(put, a, b):
+        defect = _worse(_norms(put(a, b).matrix), _norms(put(b, a).matrix))
+        return _samples(defect, a=a, b=b)
 
-    return _run_check("S3", trials, dims, seed, ceiling,
+    return _run_check("S3", put, trials, dims, seed, ceiling,
                       lambda rng, dim, _i: (_draw_kernel_disjoint_pair(rng, dim),),
                       evaluate)
 
@@ -479,13 +563,13 @@ def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     def draw(rng, dim, _i):
         return _draw_commuting_pair(rng, dim), _draw_generic(rng, dim)
 
-    def evaluate(a, b, c):
-        comp = Effect(np.eye(a.dim) - b.matrix)
-        d1 = _fro(put(a, comp).matrix - put(comp, a).matrix)
-        d2 = _fro(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
-        return max(d1, d2), {"a": a, "b": b, "c": c}
+    def evaluate(put, a, b, c):
+        comp = _effect_stack(np.eye(a.dim) - b.matrix)
+        d1 = _norms(put(a, comp).matrix - put(comp, a).matrix)
+        d2 = _norms(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
+        return _samples(_worse(d1, d2), a=a, b=b, c=c)
 
-    return _run_check("S4", trials, dims, seed, ceiling, draw, evaluate)
+    return _run_check("S4", put, trials, dims, seed, ceiling, draw, evaluate)
 
 
 def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -501,14 +585,14 @@ def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
         lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
         return (_Draw(*g, (lam_a, lam_b, rng.uniform(0.0, 1.0, dim))),)
 
-    def evaluate(a, b, c):
+    def evaluate(put, a, b, c):
         ab = put(a, b)
-        d1 = _fro(put(c, ab).matrix - put(ab, c).matrix)
-        s = Effect(a.matrix + b.matrix)
-        d2 = _fro(put(c, s).matrix - put(s, c).matrix)
-        return max(d1, d2), {"a": a, "b": b, "c": c}
+        d1 = _norms(put(c, ab).matrix - put(ab, c).matrix)
+        s = _effect_stack(a.matrix + b.matrix)
+        d2 = _norms(put(c, s).matrix - put(s, c).matrix)
+        return _samples(_worse(d1, d2), a=a, b=b, c=c)
 
-    return _run_check("S5", trials, dims, seed, ceiling, draw, evaluate)
+    return _run_check("S5", put, trials, dims, seed, ceiling, draw, evaluate)
 
 
 def check_commutativity_theorem(
@@ -536,34 +620,52 @@ def check_commutativity_theorem(
             return None  # every pair commutes; the commutator floor is unreachable
         return "converse", _draw_generic(rng, dim), _draw_generic(rng, dim), rng
 
-    def evaluate(direction, a, b, rng=None):
+    def evaluate(put, direction, a, b, rngs=None):
         nonlocal min_gap
-        if direction == "forward":
+        if direction[0] == "forward":
             pab, pba = put(a, b), put(b, a)
-            defect = max(
-                _fro(pab.matrix - pba.matrix),
-                _fro(pab.matrix - a.matrix @ b.matrix),
-            )
-            return defect, {"direction": "forward", "a": a, "b": b}
-        # the first pair comes drawn; redraws continue on the trial's stream
-        for redraw in range(200):
-            if redraw:
-                a, b = gen_generic(rng, a.dim), gen_generic(rng, a.dim)
-            if _fro(a.matrix @ b.matrix - b.matrix @ a.matrix) >= comm_floor:
-                break
-        else:
-            return None
-        gap = _fro(put(a, b).matrix - put(b, a).matrix)
-        min_gap = gap if min_gap is None else min(min_gap, gap)
-        if gap > separation_floor:
-            return None, None
-        return None, {"direction": "converse", "gap": gap,
-                      "a": a, "b": b}
+            defect = _worse(_norms(pab.matrix - pba.matrix),
+                            _norms(pab.matrix - a.matrix @ b.matrix))
+            return _samples(defect, direction="forward", a=a, b=b)
+        a, b, reached = _noncommuting_pairs(a, b, rngs, comm_floor)
+        gaps = _norms(put(a, b).matrix - put(b, a).matrix)
+        out = []
+        for k, gap in enumerate(gaps):
+            if not reached[k]:
+                out.append(None)
+                continue
+            min_gap = gap if min_gap is None else min(min_gap, gap)
+            out.append((None, None) if gap > separation_floor else
+                       (None, {"direction": "converse", "gap": gap,
+                               "a": a.matrix[k], "b": b.matrix[k]}))
+        return out
 
-    report = _run_check("commutativity", trials, dims, seed, ceiling, draw, evaluate,
+    report = _run_check("commutativity", put, trials, dims, seed, ceiling, draw, evaluate,
                         directions=("forward", "converse"))
     report.breakdown["min_converse_gap"] = min_gap
     return report
+
+
+def _noncommuting_pairs(a, b, rngs, comm_floor):
+    """Stacks a, b with each pair k whose ‖AB − BA‖_F is below comm_floor
+    redrawn from its trial's stream ``rngs[k]``, up to 199 times, and for
+    each k whether its pair reaches the floor.  A redraw runs on a copy of
+    the stream, so a trial evaluated again redraws the same pairs."""
+    reached = [value >= comm_floor
+               for value in _norms(a.matrix @ b.matrix - b.matrix @ a.matrix)]
+    if all(reached):
+        return a, b, reached
+    a, b = list(a), list(b)
+    for k in range(len(a)):
+        if reached[k]:
+            continue
+        rng = copy.deepcopy(rngs[k])
+        for _redraw in range(199):
+            x, y = gen_generic(rng, a[k].dim), gen_generic(rng, a[k].dim)
+            if _norms((x.matrix @ y.matrix - y.matrix @ x.matrix)[None])[0] >= comm_floor:
+                a[k], b[k], reached[k] = x, y, True
+                break
+    return _EffectStack.of(a), _EffectStack.of(b), reached
 
 
 def run_axiom_suite(put: Product, *, trials: int = DEFAULT_TRIALS,

@@ -21,6 +21,12 @@ scalar phase e^{it ln u} oscillates without limit as u → 0, so a hard cutoff
 is the only stable choice; the product is then exact on the support of A and
 annihilates the kernel block.  The cutoff is applied once, when an effect is
 built: its decomposition holds exact zeros there (its matrix is unchanged).
+
+The kernel also runs on stacks of effects of one dim (``_EffectStack``), as
+the axiom checks evaluate many trials at once: f_z, ``apply``,
+:func:`kraus_operator`, the products and the effect constructor act item by
+item, each item's result bit for bit the single-effect one.  Their checks
+read the whole stack, so one failing item fails the stack.
 """
 
 from __future__ import annotations
@@ -124,19 +130,21 @@ def _snapped(w: np.ndarray, lo: float, hi: float, top: float = 1.0) -> np.ndarra
     return np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
 
 
-def _eigensystems(w: np.ndarray, eigenvectors):
+def _eigensystems(w: np.ndarray, eigenvectors, basis=...):
     """(matrices, eigenvalues, eigenvectors) of the effects with spectra
-    w (..., d) and eigenvector columns (..., d, d), checked, sorted ascending
-    and snapped: one effect's arrays for a single eigensystem, a stack's for
-    a stack.
+    w (..., d) and eigenvector columns ``eigenvectors[basis]`` (..., d, d),
+    checked, sorted ascending and snapped: one effect's arrays for a single
+    eigensystem, a stack's for a stack.  For a stack, ``basis`` may index
+    the distinct bases it shares out, so that each basis is checked once.
 
     Each check reads the whole stack, so every item passes when it passes:
-    the orthonormality defect is the Frobenius norm over all items, which
-    bounds each item's.  The first check to fail raises the error it raises
+    the orthonormality defect is the Frobenius norm over all bases, which
+    bounds each basis's.  The first check to fail raises the error it raises
     for a single eigensystem.
     """
     v = np.asarray(eigenvectors, dtype=np.complex128)
-    if v.shape != w.shape + w.shape[-1:]:
+    each = v[basis]
+    if each.shape != w.shape + w.shape[-1:]:
         raise ValidationError("eigensystem shapes do not match")
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise ValidationError("eigensystem contains NaN or Inf")
@@ -148,6 +156,7 @@ def _eigensystems(w: np.ndarray, eigenvectors):
         raise ValidationError(
             f"eigenvector columns are not orthonormal (defect {gram:.3e})"
         )
+    v = each
     order = np.argsort(w, axis=-1, kind="stable")
     single = w.ndim == 1  # basic indexing, scalar reads: one draw pays no stack overhead
     if single:
@@ -162,12 +171,24 @@ def _eigensystems(w: np.ndarray, eigenvectors):
     return m, _snapped(w, float(w[..., 0].min()), float(w[..., -1].max())), v
 
 
-def _effects_from_eigensystems(w, v) -> list["Effect"]:
-    """One effect per eigensystem of a stack, w (n, d) and v (n, d, d), by
-    the checks and arithmetic of :meth:`Effect.from_eigensystem`, each
-    item's bit for bit.  Any item failing a check fails the whole stack."""
-    m, w, v = _eigensystems(np.asarray(w, dtype=np.float64), v)
-    return [Effect._built(m[k], w[k], v[k]) for k in range(len(w))]
+def _effects_from_eigensystems(w, bases, basis) -> "_EffectStack":
+    """The effects with spectra w (n, d) in the bases ``bases[basis]``, a
+    stack, by the checks and arithmetic of :meth:`Effect.from_eigensystem`,
+    each item's bit for bit, with each of the bases (m, d, d) checked once.
+    Any item failing a check fails the whole stack."""
+    return _EffectStack(*_eigensystems(np.asarray(w, dtype=np.float64), bases, basis))
+
+
+def _effect_stack(matrices) -> "_EffectStack":
+    """The effects with matrices (n, d, d), a stack, by the checks and
+    arithmetic of ``Effect(matrix)``, each item's bit for bit.  Any item
+    failing a check fails the whole stack; a stack of one raises what
+    ``Effect`` raises."""
+    m = np.asarray(matrices, dtype=np.complex128)
+    # Effect checks the entries before and after hermitizing, which may overflow
+    m = _checked_entries(_hermitian_part(_checked_entries(m)))
+    w, v = np.linalg.eigh(m)
+    return _EffectStack(m, _snapped(w, float(w[:, 0].min()), float(w[:, -1].max())), v)
 
 
 class Effect:
@@ -252,6 +273,42 @@ class DensityOperator(Effect):
             raise ValidationError(f"density operator trace {tr!r} is not 1")
 
 
+class _EffectStack:
+    """Effects of one dim held as stacks: ``matrix`` (n, d, d) and a
+    ``decomposition`` with eigenvalues (n, d) and eigenvectors (n, d, d).
+    Item k holds what a single :class:`Effect` holds, and the products
+    compute each item bit for bit as they compute a single effect's.
+    Iterating gives the items as effects, which share the stacks' memory."""
+
+    __slots__ = ("matrix", "decomposition")
+
+    def __init__(self, matrix, eigenvalues, eigenvectors):
+        self.matrix = matrix
+        self.decomposition = SpectralDecomposition(eigenvalues, eigenvectors)
+
+    @staticmethod
+    def of(effects) -> "_EffectStack":
+        """The stack of these effects, all of one dim."""
+        return _EffectStack(np.stack([e.matrix for e in effects]),
+                            np.stack([e.decomposition.eigenvalues for e in effects]),
+                            np.stack([e.decomposition.eigenvectors for e in effects]))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, items: slice) -> "_EffectStack":
+        dec = self.decomposition
+        return _EffectStack(self.matrix[items], dec.eigenvalues[items], dec.eigenvectors[items])
+
+    def __iter__(self):
+        dec = self.decomposition
+        return map(Effect._built, self.matrix, dec.eigenvalues, dec.eigenvectors)
+
+
 def effect_power_it(a: Effect, t: float) -> np.ndarray:
     """A^{it}: the unitary-on-support phase factor of the effect.
 
@@ -276,17 +333,19 @@ def sqrt_effect(a: Effect) -> Effect:
 
 def kraus_operator(a: Effect, t: float) -> np.ndarray:
     """K = A^{1/2} A^{it} = f_{1/2+it}(A), zero on A's kernel: A ∘_t S = K S K†,
-    and K is A's Kraus operator in the channel of a decomposition of the identity."""
+    and K is A's Kraus operator in the channel of a decomposition of the identity.
+    For a stack of effects, the stack of their Kraus operators."""
     dec = a.decomposition
     return dec.apply(f_z(complex(0.5, t), dec.eigenvalues))
 
 
 def _sandwich(a: Effect, s: np.ndarray, t: float) -> np.ndarray:
-    """A^{1/2} A^{it} S A^{-it} A^{1/2} = K S K† for Hermitian S."""
+    """A^{1/2} A^{it} S A^{-it} A^{1/2} = K S K† for Hermitian S, or for
+    each item of stacks a and s."""
     k = kraus_operator(a, t)
-    if a.dim != s.shape[0]:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {s.shape[0]}")
-    return k @ s @ k.conj().T
+    if a.dim != s.shape[-1]:
+        raise ValidationError(f"dimension mismatch: {a.dim} vs {s.shape[-1]}")
+    return k @ s @ k.conj().swapaxes(-1, -2)
 
 
 def phased_product(a: Effect, b: Effect, t: float = 1.0) -> Effect:
@@ -294,12 +353,17 @@ def phased_product(a: Effect, b: Effect, t: float = 1.0) -> Effect:
 
     Computed as K B K† with K = kraus_operator(a, t) from a single
     decomposition; t = 0 is the Lüders product through the same code path.
+    On two stacks of effects of one dim (what the axiom checks pass) it
+    returns the stack of the items' products, each bit for bit the single
+    product; one item failing a check fails the stack.
     """
-    return Effect(_sandwich(a, b.matrix, t))
+    m = _sandwich(a, b.matrix, t)
+    return _effect_stack(m) if isinstance(a, _EffectStack) else Effect(m)
 
 
 def luders_product(a: Effect, b: Effect) -> Effect:
-    """A ∘ B = A^{1/2} B A^{1/2} (the phased product at t = 0)."""
+    """A ∘ B = A^{1/2} B A^{1/2} (the phased product at t = 0), on effects
+    or on stacks of them."""
     return phased_product(a, b, 0.0)
 
 

@@ -105,9 +105,20 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def apply(self, values) -> np.ndarray:
-        """V·diag(values)·V†: the matrix of a function of the eigenvalues."""
+        """V·diag(values)·V†: the matrix of a function of the eigenvalues.
+
+        For a stack, V (n, d, d) and values (n, d), each item's, bit for bit.
+        """
         v = self.eigenvectors
-        return (v * values) @ v.conj().T
+        if v.ndim == 2:
+            return (v * values) @ v.conj().T
+        if v.shape[-1] > 1:
+            scaled = v * values[:, None, :]
+        else:
+            # numpy takes a 1 x 1 item's product above through its unfused
+            # complex multiply, and a stack of them through its fused one
+            scaled = np.stack([x * y for x, y in zip(v, values)])
+        return scaled @ v.conj().swapaxes(-1, -2)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(self.eigenvalues)

@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 from dataclasses import asdict
@@ -292,7 +293,8 @@ def _ref_kernel_disjoint_pair(rng, dim):
 def _ref_trials(put, comm_floor=0.01, separation_floor=1e-6):
     """The six checks as closures ``trial(rng, dim, i)`` that draw, build and
     evaluate one trial with the one-draw builders: the stacked driver's reference."""
-    fro = seqprod.axioms._fro
+    def fro(m):
+        return float(np.linalg.norm(m))
 
     def s1(rng, dim, _i):
         a, b = _ref_generic(rng, dim), _ref_generic(rng, dim)
@@ -409,7 +411,10 @@ def _per_trial_suite(put, trials, dims, seed):
 
 SUITE_PRODUCTS = {"luders": luders_product, "phased(t=-1)": phased(-1.0),
                   "phased(t=0.5)": phased(0.5), "phased(t=3)": phased(3.0),
-                  "raw": seqprod.cli._raw_matrix_product}
+                  "raw": seqprod.cli._raw_matrix_product,
+                  "phased(t=0)": phased(0.0), "phased(t=1)": phased(1.0),
+                  # a wrapper the library does not recognize: called per trial
+                  "wrapped phased(t=1)": lambda a, b: phased_product(a, b, 1.0)}
 
 
 @pytest.mark.parametrize("product, trials, seed", [
@@ -425,6 +430,22 @@ def test_stacked_suite_reports_equal_the_per_trial_driver(product, trials, seed)
     assert dumps([dict(vars(r)) for r in expected]) == dumps([asdict(r) for r in expected])
 
 
+def test_only_the_library_products_take_stacks():
+    takes = seqprod.axioms._takes_stacks
+    assert takes(luders_product) and takes(phased(1.0))
+    assert not takes(functools.partial(phased_product, t=1.0, b=None))
+    assert not takes(SUITE_PRODUCTS["wrapped phased(t=1)"])
+    assert not takes(seqprod.cli._raw_matrix_product)
+    seen = []
+
+    def recorded(a, b):
+        seen.append((type(a), type(b)))
+        return phased_product(a, b, 1.0)
+
+    check_s4(recorded, trials=12, dims=(2, 3), seed=0)
+    assert set(seen) == {(Effect, Effect)} and len(seen) == 6 * 12
+
+
 @pytest.mark.parametrize("budget", [1, 40, 200])
 def test_stack_boundaries_leave_the_reports_unchanged(budget, monkeypatch):
     # budgets that split the blocks at every size: singles, stacks and both
@@ -436,13 +457,46 @@ def test_stack_boundaries_leave_the_reports_unchanged(budget, monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 16, 64])
 def test_a_stacked_build_equals_one_draw_builds_bit_for_bit(dim):
-    draws = [seqprod.axioms._draw_commuting_pair(np.random.default_rng((dim, k)), dim)
-             for k in range(3)]
-    for stacked, draw in zip(seqprod.axioms._build(draws), draws):
-        for x, y in zip(stacked, seqprod.axioms._build_one(draw)):
-            assert np.array_equal(x.matrix, y.matrix)
-            assert np.array_equal(x.decomposition.eigenvalues, y.decomposition.eigenvalues)
-            assert np.array_equal(x.decomposition.eigenvectors, y.decomposition.eigenvectors)
+    # S4's layout: a commuting pair in one basis and a generic effect in another
+    for n in (1, 3):
+        rngs = [np.random.default_rng((dim, k)) for k in range(n)]
+        pairs = [seqprod.axioms._draw_commuting_pair(rng, dim) for rng in rngs]
+        singles = [seqprod.axioms._draw_generic(rng, dim) for rng in rngs]
+        stacks = seqprod.axioms._build([pairs, singles])
+        assert [len(stack) for stack in stacks] == [n, n, n]
+        for k in range(n):
+            built = seqprod.axioms._build_one(pairs[k]) + seqprod.axioms._build_one(singles[k])
+            for stack, y in zip(stacks, built):
+                dec = stack.decomposition
+                assert np.array_equal(stack.matrix[k], y.matrix)
+                assert np.array_equal(dec.eigenvalues[k], y.decomposition.eigenvalues)
+                assert np.array_equal(dec.eigenvectors[k], y.decomposition.eigenvectors)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 16, 64])
+def test_stacked_norms_are_the_single_norms_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    for n in (1, 7):
+        m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        assert seqprod.axioms._norms(m) == [float(np.linalg.norm(x)) for x in m]
+
+
+def test_a_stacked_build_checks_each_basis_once(monkeypatch):
+    # three effects share each S5 basis: one Gram product per basis, not per effect
+    grams = []
+    original = seqprod.effects._eigensystems
+
+    def recorded(w, eigenvectors, basis=...):
+        grams.append(np.shape(eigenvectors))
+        return original(w, eigenvectors, basis)
+
+    monkeypatch.setattr(seqprod.effects, "_eigensystems", recorded)
+    draws = [seqprod.axioms._Draw(*seqprod.axioms._gaussians(np.random.default_rng(k), 3),
+                                  tuple(np.random.default_rng(k).uniform(size=(3, 3))))
+             for k in range(4)]
+    stacks = seqprod.axioms._build([draws])
+    assert grams == [(4, 3, 3)]
+    assert [len(stack) for stack in stacks] == [4, 4, 4]
 
 
 class _NaNUniform:
@@ -453,6 +507,9 @@ class _NaNUniform:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+    def __deepcopy__(self, memo):
+        return type(self)(copy.deepcopy(self._rng, memo))
 
     def uniform(self, *args, **kwargs):
         out = np.array(self._rng.uniform(*args, **kwargs), dtype=float)
@@ -481,6 +538,76 @@ def test_a_failed_draw_is_charged_to_its_own_trial(check, gen, products, monkeyp
     assert (report.trials, report.failures) == (20, 1)
     assert report.witness == {"trial": 5, "dim": 2, "error": str(one_draw.value)}
     assert len(calls) == products * 19
+
+
+class _TinyUniform(_NaNUniform):
+    """A Generator whose uniform draws put 1e-9, above the support cutoff, first."""
+
+    def uniform(self, *args, **kwargs):
+        out = np.array(self._rng.uniform(*args, **kwargs), dtype=float)
+        out.flat[0] = 1e-9
+        return out
+
+
+def test_a_raising_block_charges_each_error_to_its_own_trial(monkeypatch):
+    # at t = 1e307 the phase t·ln 1e-9 overflows: f_z raises on trial 5's
+    # item of its dim-2 stack, which is then evaluated one trial at a time
+    original = seqprod.axioms._trial_rng
+
+    def trial_rng(seed, i):
+        return _TinyUniform(original(seed, i)) if i == 5 else original(seed, i)
+
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
+    put = phased(1e307)
+    a, b = gen_kernel_disjoint_pair(trial_rng(4, 5), 2)
+    with pytest.raises(seqprod.effects.DomainError) as one_trial:
+        put(a, b)
+    (_axiom, s3), = [check for check in _ref_trials(put)[0] if check[0] == "S3"]
+    expected_defects = []
+
+    def reference(_rng, dim, i):
+        res = s3(trial_rng(4, i), dim, i)
+        expected_defects.append(res[0])
+        return res
+
+    expected = _ref_run_check("S3", 20, (2, 3), 4, reference)
+    defects, sizes = [], []
+    samples = seqprod.axioms._samples
+
+    def recorded(d, **fields):
+        defects.extend(d)
+        sizes.append(len(d))
+        return samples(d, **fields)
+
+    monkeypatch.setattr(seqprod.axioms, "_samples", recorded)
+    report = check_s3(put, trials=20, dims=(2, 3), seed=4)
+    assert report == expected
+    assert (report.trials, report.failures) == (20, 1)
+    assert report.witness == {"trial": 5, "dim": 2, "error": str(one_trial.value)}
+    assert sorted(defects) == sorted(expected_defects) and len(defects) == 19
+    # the dim-3 stack in one evaluation; the dim-2 one trial by trial
+    assert sorted(sizes) == [1] * 9 + [10]
+
+
+def test_a_raising_converse_block_redraws_the_same_pairs(monkeypatch):
+    # at d = 2 most pairs fall below this floor and are redrawn; trial 3's
+    # overflow makes the converse stack evaluate again, trial by trial
+    original = seqprod.axioms._trial_rng
+
+    def trial_rng(seed, i):
+        return _TinyUniform(original(seed, i)) if i == 3 else original(seed, i)
+
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
+    put, floor = phased(1e307), 0.05
+    checks, gaps = _ref_trials(put, comm_floor=floor)
+    (_axiom, comm), = [check for check in checks if check[0] == "commutativity"]
+    expected = _ref_run_check("commutativity", 16, (2,), 9,
+                              lambda _rng, dim, i: comm(trial_rng(9, i), dim, i),
+                              directions=("forward", "converse"))
+    expected.breakdown["min_converse_gap"] = min(gaps)
+    report = check_commutativity_theorem(put, trials=16, dims=(2,), seed=9, comm_floor=floor)
+    assert report == expected
+    assert report.witness["trial"] == 3 and "overflows the phase" in report.witness["error"]
 
 
 def test_stacks_stay_within_the_entry_budget(monkeypatch):

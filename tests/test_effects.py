@@ -569,3 +569,76 @@ def test_product_is_kraus_sandwich(t, dim):
     # K is the one assembly of the one kernel, f_{1/2+it}(A)
     dec = a.decomposition
     assert np.array_equal(k, dec.apply(f_z(0.5 + 1j * t, dec.eigenvalues)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel on stacks of effects, item by item the single-effect kernel
+# ---------------------------------------------------------------------------
+
+def _mixed_effects(rng, dim, count):
+    """Effects of one dim, every other one with an exact kernel zero (at dim 1, the zero effect)."""
+    effects = []
+    for k in range(count):
+        lam = rng.uniform(0.0, 1.0, dim)
+        if k % 2 == 0:
+            lam[int(rng.integers(dim))] = 0.0
+        effects.append(Effect.from_eigensystem(lam, haar_unitary(dim, rng)))
+    return effects
+
+
+def _assert_same_effect(stack, k, effect):
+    dec = stack.decomposition
+    assert np.array_equal(stack.matrix[k], effect.matrix)
+    assert np.array_equal(dec.eigenvalues[k], effect.decomposition.eigenvalues)
+    assert np.array_equal(dec.eigenvectors[k], effect.decomposition.eigenvectors)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("dim", [1, 2, 6])
+@pytest.mark.parametrize("t", [-1.0, 0.0, 3.0])
+def test_the_kernel_on_a_stack_is_the_single_effect_kernel_bit_for_bit(t, dim, count):
+    rng = np.random.default_rng((dim, count))
+    left, right = _mixed_effects(rng, dim, count), _mixed_effects(rng, dim, count)[::-1]
+    a, b = seqprod.effects._EffectStack.of(left), seqprod.effects._EffectStack.of(right)
+    if count > 1:  # items with and without an exact kernel zero
+        assert any(0.0 in e.decomposition.eigenvalues for e in left)
+        assert any(0.0 not in e.decomposition.eigenvalues for e in left)
+    kraus = kraus_operator(a, t)
+    product = phased_product(a, b, t)
+    # the constructor, also on outputs whose kernel zeros it snaps
+    mean = seqprod.effects._effect_stack(0.5 * (a.matrix + b.matrix))
+    rebuilt = seqprod.effects._effect_stack(product.matrix)
+    for k in range(count):
+        single = phased_product(left[k], right[k], t)
+        assert np.array_equal(kraus[k], kraus_operator(left[k], t))
+        _assert_same_effect(product, k, single)
+        _assert_same_effect(mean, k, Effect(0.5 * (left[k].matrix + right[k].matrix)))
+        _assert_same_effect(rebuilt, k, Effect(single.matrix))
+    if t == 0.0:
+        lu = luders_product(a, b)
+        assert all(np.array_equal(lu.matrix[k], product.matrix[k]) for k in range(count))
+    items = list(product)  # single effects on the stack's memory
+    assert [type(e) for e in items] == [Effect] * count
+    assert all(np.array_equal(e.matrix, product.matrix[k]) for k, e in enumerate(items))
+
+
+def test_one_failing_item_fails_the_stack_with_the_single_effect_error():
+    rng = np.random.default_rng(3)
+    good = _mixed_effects(rng, 2, 3)
+    bad = good[1].matrix + np.eye(2)  # spectrum escapes [0, 1]
+    with pytest.raises(ValidationError) as single:
+        Effect(bad)
+    with pytest.raises(ValidationError) as stacked:
+        seqprod.effects._effect_stack(np.stack([bad]))
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValidationError, match="escapes"):
+        seqprod.effects._effect_stack(np.stack([good[0].matrix, bad, good[2].matrix]))
+    # 1e-9 lies above the support cutoff, and t·ln 1e-9 overflows at t = 1e307
+    tiny = Effect.from_eigensystem(np.array([1e-9, 0.5]), haar_unitary(2, rng))
+    stack = seqprod.effects._EffectStack.of([good[0], tiny])
+    with pytest.raises(DomainError) as single:
+        kraus_operator(tiny, 1e307)
+    with pytest.raises(DomainError) as stacked:
+        kraus_operator(stack, 1e307)
+    assert str(stacked.value) == str(single.value)
+    kraus_operator(good[0], 1e307)  # the other item alone is fine
