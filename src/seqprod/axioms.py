@@ -14,16 +14,19 @@ plain function ``gen_*(rng, dim)`` of a numpy Generator and an integer dim >= 1.
 Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.  Each check is a
 draw, which makes a trial's RNG calls on its own stream, and an evaluation,
-which builds the derived operands and runs the product under test.  The
-driver builds the drawn effects of a block of trials in one stacked pass per
-dim, bit for bit as the generators build one draw, in stacks of bounded size.
-Evaluations are written once, for stacks of trials.  The library's products,
-``luders_product`` and ``phased_product`` with t bound by keyword (as the CLI
-binds it), take stacks, so a block costs one product call per dim for each
-product a check applies; any other product is called once per trial, on
-single effects.  A draw that fails to build, or a stacked evaluation that
-raises, is redone one trial at a time, so each failure is its own trial's,
-with the message a single-effect run gives.
+which builds the derived operands and asks for products in steps, each step
+a set of products that depend only on earlier steps.  The suite builds and
+evaluates its checks together: per dim, the drawn effects of all checks are
+built in one stacked pass, bit for bit as the generators build one draw, in
+stacks of bounded size.  Evaluations are written once, for stacks of trials.
+The library's products, ``luders_product`` and ``phased_product`` with t
+bound by keyword (as the CLI binds it), take stacks, so each step costs one
+product call per dim over all checks.  A check run alone is the same driver
+with one check.  Any other product keeps its own path: it is called once per
+requested product of each trial, on single effects, in the order of the
+check's steps.  A joint build or step that raises is redone check by check,
+then one trial at a time, so each failure is its own trial's, with the
+message a single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -38,7 +41,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -83,7 +86,7 @@ DEFAULT_COMM_FLOOR = 0.01        # converse: least ‖AB − BA‖_F of a drawn 
 DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it must give
 CLUSTER_TOL = 1e-8               # eigenvalues this close share a cluster
 MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
-STACK_ENTRIES = 2**14            # matrix entries of the effects a check builds in one pass
+STACK_ENTRIES = 2**14            # matrix entries of the effects all checks build in one pass
 DEFAULT_TRIALS = 1000            # per axiom check
 DEFAULT_DIMS = (2, 3, 4, 6)
 DEFAULT_WITNESS_TRIALS = 100     # pairs drawn by the non-uniqueness search
@@ -129,22 +132,23 @@ def _build_one(draw: _Draw) -> tuple[Effect, ...]:
 
 
 def _build(columns: list[list[_Draw]]) -> list[_EffectStack]:
-    """The effects of n trials' draws, all of one dim, as stacks, each item
-    bit for bit what ``_build_one`` builds: ``columns[p]`` holds the n draws
-    of operand p, each with the same number of spectra, and the result holds
-    one stack of n effects per spectrum of each operand, in order.  One
-    stacked QR gives the bases, and one stacked build the effects, each
-    basis checked once through the same code run on stacks."""
+    """The effects of trials' draws, all of one dim, as stacks, each item bit
+    for bit what ``_build_one`` builds: ``columns`` holds columns of draws,
+    the draws of one column with the same number of spectra, and the result
+    holds one stack per spectrum of each column, in order.  One stacked QR
+    gives the bases, and one stacked build the effects, each basis checked
+    once through the same code run on stacks."""
     draws = [draw for column in columns for draw in column]
     bases = _haar(np.stack([d.re for d in draws]), np.stack([d.im for d in draws]))
-    n = len(columns[0])
-    spectra, basis = [], []
-    for p, column in enumerate(columns):
+    spectra, basis, spans, first = [], [], [], 0
+    for column in columns:
         for s in range(len(column[0].spectra)):
+            spans.append(slice(len(spectra), len(spectra) + len(column)))
             spectra += [draw.spectra[s] for draw in column]
-            basis += range(p * n, (p + 1) * n)
+            basis += range(first, first + len(column))
+        first += len(column)
     effects = _effects_from_eigensystems(np.array(spectra), bases, np.array(basis))
-    return [effects[j:j + n] for j in range(0, len(spectra), n)]
+    return [effects[span] for span in spans]
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -290,32 +294,145 @@ def _schedule(trials, seed, dims, **axes) -> tuple[int, int, tuple[int, ...]]:
     return trials, seed, dims
 
 
-def _attempts(draw, evaluate, put, seed, dims, first, count):
-    """Yield ``(i, dim, outcome)`` for attempts first .. first + count − 1.
+class _Check(NamedTuple):
+    """One row of the driver's table.
+
+    ``draw(rng, dim, i)`` makes attempt i's RNG calls, on its own stream, and
+    returns None when its hypothesis cannot be drawn, else a tuple of values,
+    each a _Draw or a plain value.  ``evaluate(*operands)`` is a generator
+    over stacks of the operands of n trials (see ``_operands``): it yields
+    steps, each a tuple of requests ``(a, b)``, is sent for each step the
+    tuple of the products A∘B, and returns for each trial what
+    ``_Tally.record`` takes.  With ``directions``, trial i runs in direction
+    ``directions[i % len(directions)]``; ``extra()`` gives the report's
+    further ``breakdown`` entries, known once the run is over.
+    """
+
+    axiom: str
+    draw: Callable
+    evaluate: Callable
+    directions: Optional[tuple[str, ...]] = None
+    extra: Callable[[], dict] = dict
+
+
+class _Tally:
+    """One check's run so far: its attempts, samples, failures and witnesses."""
+
+    def __init__(self, check: _Check, seed: int, ceiling: float):
+        self.check, self.seed, self.ceiling = check, seed, ceiling
+        self.executed = self.failures = self.attempts = 0
+        self.worst = 0.0
+        self.worst_witness = self.fail_witness = self.exc_witness = None
+        self.breakdown = {f"{d}_{key}": 0 for d in check.directions or ()
+                          for key in ("trials", "failures")}
+
+    def record(self, i: int, dim: int, outcome) -> None:
+        """Count attempt i: its outcome is None when it is no trial, an
+        exception (a failed trial), or ``(defect, witness)``, a sample that
+        fails when defect > ceiling.  A trial that judges itself gives
+        ``(None, None)`` when it passed and ``(None, witness)`` when it
+        failed.  The first exception's witness is kept, then the first
+        self-judged failure's, then the worst defect's."""
+        self.attempts += 1
+        if outcome is None:
+            return
+        if isinstance(outcome, Exception):
+            failed = True
+            if self.exc_witness is None:
+                self.exc_witness = {"trial": i, "dim": dim, "error": str(outcome)}
+        else:
+            defect, witness = outcome
+            if defect is None:
+                failed = witness is not None
+                if failed and self.fail_witness is None:
+                    self.fail_witness = {"trial": i, "dim": dim, **witness}
+            else:
+                failed = defect > self.ceiling
+                if defect > self.worst:
+                    self.worst = defect
+                    self.worst_witness = {"trial": i, "dim": dim, **witness}
+        self.executed += 1
+        self.failures += failed
+        if self.check.directions:
+            direction = self.check.directions[i % len(self.check.directions)]
+            self.breakdown[f"{direction}_trials"] += 1
+            self.breakdown[f"{direction}_failures"] += failed
+
+    def report(self) -> CheckReport:
+        """The report; only its witness's matrices become matrix documents."""
+        witness = self.exc_witness or self.fail_witness or self.worst_witness
+        if witness is not None:
+            witness = {key: matrix_to_document(value) if isinstance(value, np.ndarray)
+                       else value for key, value in witness.items()}
+        return CheckReport(
+            axiom=self.check.axiom,
+            trials=self.executed,
+            failures=self.failures,
+            worst_violation=self.worst,
+            seed=self.seed,
+            witness=witness,
+            breakdown={**self.breakdown, **self.check.extra()} or None,
+        )
+
+
+def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
+    """Run the checks ``checks[k]()`` on the product ``put``, check k on the
+    streams ``(seed + k, i)``, each until `trials` samples executed or its
+    attempts are exhausted, and report each.  Each ``checks[k]`` is called
+    once the schedule and ceiling are checked, so it checks its own
+    arguments after them.
+
+    Each round draws the attempts every unfinished check still needs, check
+    by check in trial order, and evaluates them together (see
+    ``_attempts``): all effects of one dim are built in one stacked pass,
+    and with a library product each step of all their evaluations is one
+    product call on the joined requests.  A check run alone is the table of
+    one row.  Any exception raised in a trial, by its draw, by building its
+    effects, by the product under test or by a result it returned, counts
+    as a failure of that trial and never aborts the run.  Outcomes are
+    counted in trial order, check by check, so a report does not depend on
+    which other checks ran beside it.
+    """
+    trials, seed, dims = _schedule(trials, seed, dims)
+    ceiling = require_tolerance("ceiling", ceiling)
+    tallies = [_Tally(make(), seed + k, ceiling) for k, make in enumerate(checks)]
+    limit = trials * MAX_ATTEMPT_FACTOR
+    # an attempt executes at most one trial, so every attempt drawn is needed
+    while rounds := [(tally, tally.attempts, min(trials - tally.executed, limit - tally.attempts))
+                     for tally in tallies if tally.executed < trials and tally.attempts < limit]:
+        for tally, i, dim, outcome in _attempts(put, dims, rounds):
+            tally.record(i, dim, outcome)
+    return [tally.report() for tally in tallies]
+
+
+def _attempts(put, dims, rounds):
+    """Yield ``(tally, i, dim, outcome)`` for one round: for each ``(tally,
+    first, count)``, attempts first .. first + count − 1 of its check.
 
     Attempt i draws ``draw(_trial_rng(seed, i), dim, i)`` at
-    ``dim = dims[(i // 2) % len(dims)]``: None when its hypothesis cannot be
-    drawn, else a tuple of values.  Its outcome is None when it is no trial,
-    the exception its draw, its build or its evaluation raised, or what
-    ``evaluate`` returned for it.  Attempts are drawn in blocks whose effects
-    hold at most STACK_ENTRIES matrix entries (an attempt beyond that is a
-    block of its own) and evaluated a block at a time (see ``_evaluated``).
+    ``dim = dims[(i // 2) % len(dims)]``.  Its outcome is None when it is no
+    trial, the exception its draw, its build or its evaluation raised, or
+    what its evaluation returned for it.  The round's attempts are drawn in
+    blocks whose effects hold at most STACK_ENTRIES matrix entries over all
+    checks (an attempt beyond that is a block of its own) and evaluated a
+    block at a time (see ``_evaluated``).
     """
     block, entries = [], 0
-    for i in range(first, first + count):
-        dim = dims[(i // 2) % len(dims)]
-        try:
-            drawn = draw(_trial_rng(seed, i), dim, i)
-        except Exception as exc:
-            drawn = exc
-        size = (dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
-                if isinstance(drawn, tuple) else 0)
-        if block and entries + size > STACK_ENTRIES:
-            yield from _evaluated(block, evaluate, put)
-            block, entries = [], 0
-        block.append((i, dim, drawn))
-        entries += size
-    yield from _evaluated(block, evaluate, put)
+    for tally, first, count in rounds:
+        for i in range(first, first + count):
+            dim = dims[(i // 2) % len(dims)]
+            try:
+                drawn = tally.check.draw(_trial_rng(tally.seed, i), dim, i)
+            except Exception as exc:
+                drawn = exc
+            size = (dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
+                    if isinstance(drawn, tuple) else 0)
+            if block and entries + size > STACK_ENTRIES:
+                yield from _evaluated(block, put)
+                block, entries = [], 0
+            block.append((tally, i, dim, drawn))
+            entries += size
+    yield from _evaluated(block, put)
 
 
 def _takes_stacks(put) -> bool:
@@ -335,24 +452,23 @@ class _Outputs(list):
         return np.stack([x.matrix for x in self])
 
 
-def _per_item(put):
-    """``put`` on stacks: one call per item, on single effects, in item order."""
-    return lambda a, b: _Outputs(map(put, a, b))
-
-
-def _operands(drawns: list[tuple], build) -> list:
-    """The operands of trials of one layout: the effects of each _Draw position
-    as stacks, which ``build`` makes from the columns of draws (see
+def _operands(groups: list[list[tuple]], build) -> list[list]:
+    """The operands of groups of trials, each group's drawn values in one
+    layout: per group, the effects of each _Draw position as stacks, which
+    ``build`` makes from the columns of draws of all groups at once (see
     ``_build``), and each other position's values in a list."""
-    first = drawns[0]
-    stacks = iter(build([[drawn[p] for drawn in drawns]
-                         for p, x in enumerate(first) if isinstance(x, _Draw)]))
+    columns = [[drawn[p] for drawn in drawns] for drawns in groups
+               for p, x in enumerate(drawns[0]) if isinstance(x, _Draw)]
+    stacks = iter(build(columns))
     out = []
-    for p, x in enumerate(first):
-        if isinstance(x, _Draw):
-            out.extend(islice(stacks, len(x.spectra)))
-        else:
-            out.append([drawn[p] for drawn in drawns])
+    for drawns in groups:
+        operands = []
+        for p, x in enumerate(drawns[0]):
+            if isinstance(x, _Draw):
+                operands.extend(islice(stacks, len(x.spectra)))
+            else:
+                operands.append([drawn[p] for drawn in drawns])
+        out.append(operands)
     return out
 
 
@@ -361,51 +477,129 @@ def _built_one(columns: list[list[_Draw]]) -> list[_EffectStack]:
     return [_EffectStack.of([e]) for (draw,) in columns for e in _build_one(draw)]
 
 
-def _evaluated(block, evaluate, put):
-    """Yield ``_attempts``' outcomes, in attempt order, for one block of ``(i, dim, drawn)``.
+def _together(fn, items: list) -> list:
+    """``fn(items)``, one result per item; if that raises, ``fn([item])[0]``
+    for each item, and None for an item where that raises too."""
+    try:
+        return fn(items)
+    except Exception:
+        out = []
+        for item in items:
+            try:
+                out.append(fn([item])[0])
+            except Exception:
+                out.append(None)
+        return out
 
-    The trials of one dim and one layout of drawn values form a group, whose
-    draws are built in one stacked pass.  A library product evaluates a group
-    in one ``evaluate`` call on the stacks.  Any other product, and a group
-    whose stacked build or evaluation raised, is evaluated one trial at a
-    time, in trial order, on stacks of one, with single-effect product
-    calls; a trial whose draws failed to build stacked is rebuilt alone.  So
-    each error is charged to the trial that caused it, with the message a
-    single-effect run gives.
+
+def _joined(stacks: list[_EffectStack]) -> _EffectStack:
+    """The items of these stacks, of one dim, in one stack, in order."""
+    if len(stacks) == 1:
+        return stacks[0]
+    decs = [x.decomposition for x in stacks]
+    return _EffectStack(np.concatenate([x.matrix for x in stacks]),
+                        np.concatenate([dec.eigenvalues for dec in decs]),
+                        np.concatenate([dec.eigenvectors for dec in decs]))
+
+
+def _products(put, steps: list[tuple]) -> list[tuple]:
+    """For each step, the products of its requests ``(a, b)``, from one call
+    of ``put`` on the requests of all steps joined into one stack."""
+    pairs = [pair for step in steps for pair in step]
+    out = put(_joined([a for a, _b in pairs]), _joined([b for _a, b in pairs]))
+    ends = accumulate(len(a) for a, _b in pairs)
+    parts = iter([out[end - len(a):end] for (a, _b), end in zip(pairs, ends)])
+    return [tuple(islice(parts, len(step))) for step in steps]
+
+
+def _jointly(evaluations: dict, put) -> dict:
+    """The outcomes of the evaluations ``evaluations[g]``, run side by side:
+    a round of their steps is one call of ``put`` on all their requests (see
+    ``_products``), and a round that raises is called again evaluation by
+    evaluation.  An evaluation that raises, or whose step raises when called
+    alone, is left out."""
+    steps, done = {}, {}
+
+    def advance(g, products):
+        try:
+            steps[g] = evaluations[g].send(products)
+        except StopIteration as stop:
+            done[g] = stop.value
+        except Exception:
+            pass  # left out: its trials are evaluated alone, each error charged there
+
+    for g in evaluations:
+        advance(g, None)
+    while steps:
+        current = list(steps.items())
+        steps.clear()
+        called = _together(functools.partial(_products, put), [step for _g, step in current])
+        for (g, _step), products in zip(current, called):
+            if products is not None:
+                advance(g, products)
+    return done
+
+
+def _driven(evaluation, put) -> list:
+    """The outcomes of ``evaluation``, each step's products one call of
+    ``put`` per item, on single effects, in request order."""
+    products = None
+    while True:
+        try:
+            step = evaluation.send(products)
+        except StopIteration as stop:
+            return stop.value
+        products = tuple(_Outputs(map(put, a, b)) for a, b in step)
+
+
+def _evaluated(block, put):
+    """Yield ``_attempts``' outcomes, in block order, for one block of
+    ``(tally, i, dim, drawn)``.
+
+    A check's trials of one dim and one layout of drawn values form a group.
+    The draws of all groups of one dim are built in one stacked pass.  A
+    library product evaluates these groups side by side, one product call
+    per dim and step (see ``_jointly``).  A joint build or step that raises
+    is redone group by group; a group whose build still raises is built one
+    trial at a time, and a group whose evaluation still raises is evaluated
+    one trial at a time.  Any other product evaluates every trial alone:
+    in block order, on stacks of one, with one single-effect product call
+    per request, in each step's order.  So each error is charged to the
+    trial that caused it, with the message a single-effect run gives.
     """
-    groups, operands, outcomes = {}, {}, {}
-    for i, dim, drawn in block:
+    by_dim, outcomes, alone = {}, {}, {}
+    for pos, (tally, _i, dim, drawn) in enumerate(block):
         if isinstance(drawn, tuple):
             layout = tuple(len(x.spectra) if isinstance(x, _Draw) else None for x in drawn)
-            groups.setdefault((dim, layout), []).append((i, drawn))
+            by_dim.setdefault(dim, {}).setdefault((tally, layout), []).append(pos)
         else:
-            outcomes[i] = drawn
-    for group in groups.values():
-        try:
-            stacked = _operands([drawn for _i, drawn in group], _build)
-        except Exception:
-            for i, drawn in group:
-                try:
-                    operands[i] = _operands([drawn], _built_one)
-                except Exception as exc:
-                    outcomes[i] = exc
-            continue
-        if _takes_stacks(put):
+            outcomes[pos] = drawn
+    for groups in by_dim.values():
+        built = _together(functools.partial(_operands, build=_build),
+                          [[block[pos][3] for pos in group] for group in groups.values()])
+        rows = [(tally, group, operands)
+                for ((tally, _layout), group), operands in zip(groups.items(), built)]
+        done = _jointly({g: tally.check.evaluate(*operands)
+                         for g, (tally, _group, operands) in enumerate(rows)
+                         if operands is not None}, put) if _takes_stacks(put) else {}
+        for g, (_tally, group, operands) in enumerate(rows):
+            if g in done:
+                outcomes.update(zip(group, done[g]))
+            elif operands is not None:
+                alone.update((pos, [x[k:k + 1] for x in operands]) for k, pos in enumerate(group))
+            else:
+                for pos in group:
+                    try:
+                        alone[pos], = _operands([[block[pos][3]]], _built_one)
+                    except Exception as exc:
+                        outcomes[pos] = exc
+    for pos, (tally, i, dim, _drawn) in enumerate(block):
+        if pos in alone:
             try:
-                outcomes.update(zip([i for i, _drawn in group], evaluate(put, *stacked)))
-                continue
-            except Exception:
-                pass
-        for k, (i, _drawn) in enumerate(group):
-            operands[i] = [x[k:k + 1] for x in stacked]
-    single = _per_item(put)
-    for i, dim, _drawn in block:
-        if i in operands:
-            try:
-                outcomes[i] = evaluate(single, *operands[i])[0]
+                outcomes[pos], = _driven(tally.check.evaluate(*alone[pos]), put)
             except Exception as exc:
-                outcomes[i] = exc
-        yield i, dim, outcomes[i]
+                outcomes[pos] = exc
+        yield tally, i, dim, outcomes[pos]
 
 
 def _samples(defects, **fields) -> list[tuple[float, dict]]:
@@ -421,87 +615,24 @@ def _worse(*defects) -> list[float]:
     return [max(values) for values in zip(*defects)]
 
 
-def _run_check(axiom, put, trials, dims, seed, ceiling, draw, evaluate, *,
-               directions=None) -> CheckReport:
-    """Drive trials of the product ``put`` until `trials` samples executed or
-    attempts are exhausted.
-
-    A trial is an attempt whose ``draw`` (see ``_attempts``) is not None;
-    ``evaluate(put, *operands)`` takes stacks of the operands of n trials,
-    with its product on stacks, and returns for each trial None when its
-    hypothesis was not met after all (not a sample), else ``(defect,
-    witness)``: a sample that fails when defect > ceiling, the worst defect's
-    witness being reported.  The witness holds the trial's operands as
-    matrices; only the one reported is turned into matrix documents, once
-    the run is over.  A trial that judges itself gives ``(None, None)`` when
-    it passed and ``(None, witness)`` when it failed.  ``luders_product``
-    and ``phased_product`` with t bound take stacks, so a block of trials of
-    one dim costs one product call per product the check applies; any other
-    product is called once per trial on single effects.  Any exception
-    raised in a trial, by its draw, by building its effects, by the product
-    under test or by a result it returned, counts as a failure of that trial
-    and never aborts the run.  Outcomes are walked in trial order, and the
-    report's witness is the first exception's, else the first self-judged
-    failure's, else the worst defect's.  With ``directions``, trial i runs in
-    direction ``directions[i % len(directions)]`` and the report's
-    ``breakdown`` counts trials and failures per direction.
-    """
-    trials, seed, dims = _schedule(trials, seed, dims)
-    ceiling = require_tolerance("ceiling", ceiling)
-    breakdown = {f"{d}_{key}": 0 for d in directions or ()
-                 for key in ("trials", "failures")}
-    executed = failures = attempts = 0
-    limit = trials * MAX_ATTEMPT_FACTOR
-    worst = 0.0
-    worst_witness: Optional[dict] = None
-    fail_witness: Optional[dict] = None
-    exc_witness: Optional[dict] = None
-    while executed < trials and attempts < limit:
-        # an attempt executes at most one trial, so every attempt drawn here is needed
-        count = min(trials - executed, limit - attempts)
-        for i, dim, outcome in _attempts(draw, evaluate, put, seed, dims, attempts, count):
-            attempts += 1
-            if outcome is None:
-                continue
-            if isinstance(outcome, Exception):
-                failed = True
-                if exc_witness is None:
-                    exc_witness = {"trial": i, "dim": dim, "error": str(outcome)}
-            else:
-                defect, witness = outcome
-                if defect is None:
-                    failed = witness is not None
-                    if failed and fail_witness is None:
-                        fail_witness = {"trial": i, "dim": dim, **witness}
-                else:
-                    failed = defect > ceiling
-                    if defect > worst:
-                        worst = defect
-                        worst_witness = {"trial": i, "dim": dim, **witness}
-            executed += 1
-            failures += failed
-            if directions:
-                direction = directions[i % len(directions)]
-                breakdown[f"{direction}_trials"] += 1
-                breakdown[f"{direction}_failures"] += failed
-    witness = exc_witness or fail_witness or worst_witness
-    if witness is not None:
-        witness = {key: matrix_to_document(value) if isinstance(value, np.ndarray) else value
-                   for key, value in witness.items()}
-    return CheckReport(
-        axiom=axiom,
-        trials=executed,
-        failures=failures,
-        worst_violation=worst,
-        seed=seed,
-        witness=witness,
-        breakdown=breakdown or None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Axiom checks
 # ---------------------------------------------------------------------------
+
+def _s1() -> _Check:
+    def draw(rng, dim, _i):
+        return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.uniform())
+
+    def evaluate(a, b, u):
+        c = _effect_stack(np.array(u)[:, None, None] * (np.eye(a.dim) - b.matrix))
+        bc = _effect_stack(b.matrix + c.matrix)
+        ab, ac, abc = yield (a, b), (a, c), (a, bc)
+        defect = _norms(ab.matrix + ac.matrix - abc.matrix)
+        top = np.linalg.eigvalsh(ab.matrix + ac.matrix)[:, -1]
+        return _samples(_worse(defect, (top - 1.0).tolist()), a=a, b=b, c=c)
+
+    return _Check("S1", draw, evaluate)
+
 
 def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
@@ -510,29 +641,31 @@ def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     C is drawn as a random mixture of I − B so that B + C <= I holds by
     construction.
     """
-    def draw(rng, dim, _i):
-        return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.uniform())
+    return _run_checks(put, trials, dims, seed, ceiling, _s1)[0]
 
-    def evaluate(put, a, b, u):
-        c = _effect_stack(np.array(u)[:, None, None] * (np.eye(a.dim) - b.matrix))
-        ab, ac = put(a, b), put(a, c)
-        bc = _effect_stack(b.matrix + c.matrix)
-        defect = _norms(ab.matrix + ac.matrix - put(a, bc).matrix)
-        top = np.linalg.eigvalsh(ab.matrix + ac.matrix)[:, -1]
-        return _samples(_worse(defect, (top - 1.0).tolist()), a=a, b=b, c=c)
 
-    return _run_check("S1", put, trials, dims, seed, ceiling, draw, evaluate)
+def _s2() -> _Check:
+    def evaluate(a):
+        ident = _effect_stack(np.broadcast_to(np.eye(a.dim), a.matrix.shape))
+        ia, = yield ((ident, a),)
+        return _samples(_norms(ia.matrix - a.matrix), a=a)
+
+    return _Check("S2", lambda rng, dim, _i: (_draw_generic(rng, dim),), evaluate)
 
 
 def check_s2(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
              seed: int = 0, ceiling: float = DEFAULT_CEILING) -> CheckReport:
     """S2: I∘A = A."""
-    def evaluate(put, a):
-        ident = _effect_stack(np.broadcast_to(np.eye(a.dim), a.matrix.shape))
-        return _samples(_norms(put(ident, a).matrix - a.matrix), a=a)
+    return _run_checks(put, trials, dims, seed, ceiling, _s2)[0]
 
-    return _run_check("S2", put, trials, dims, seed, ceiling,
-                      lambda rng, dim, _i: (_draw_generic(rng, dim),), evaluate)
+
+def _s3() -> _Check:
+    def evaluate(a, b):
+        ab, ba = yield (a, b), (b, a)
+        return _samples(_worse(_norms(ab.matrix), _norms(ba.matrix)), a=a, b=b)
+
+    return _Check("S3", lambda rng, dim, _i: (_draw_kernel_disjoint_pair(rng, dim),),
+                  evaluate)
 
 
 def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -544,13 +677,23 @@ def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     Such a pair must give A∘B = 0 and B∘A = 0, so the defect is
     max(‖A∘B‖_F, ‖B∘A‖_F), judged against the ceiling like any other.
     """
-    def evaluate(put, a, b):
-        defect = _worse(_norms(put(a, b).matrix), _norms(put(b, a).matrix))
-        return _samples(defect, a=a, b=b)
+    return _run_checks(put, trials, dims, seed, ceiling, _s3)[0]
 
-    return _run_check("S3", put, trials, dims, seed, ceiling,
-                      lambda rng, dim, _i: (_draw_kernel_disjoint_pair(rng, dim),),
-                      evaluate)
+
+def _s4() -> _Check:
+    def draw(rng, dim, _i):
+        return _draw_commuting_pair(rng, dim), _draw_generic(rng, dim)
+
+    def evaluate(a, b, c):
+        comp = _effect_stack(np.eye(a.dim) - b.matrix)
+        a_comp, comp_a, bc = yield (a, comp), (comp, a), (b, c)
+        a_bc, ab = yield (a, bc), (a, b)
+        ab_c, = yield ((ab, c),)
+        d1 = _norms(a_comp.matrix - comp_a.matrix)
+        d2 = _norms(a_bc.matrix - ab_c.matrix)
+        return _samples(_worse(d1, d2), a=a, b=b, c=c)
+
+    return _Check("S4", draw, evaluate)
 
 
 def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -560,16 +703,25 @@ def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     The hypothesis is produced by drawing A, B with a shared eigenbasis;
     C is generic.
     """
-    def draw(rng, dim, _i):
-        return _draw_commuting_pair(rng, dim), _draw_generic(rng, dim)
+    return _run_checks(put, trials, dims, seed, ceiling, _s4)[0]
 
-    def evaluate(put, a, b, c):
-        comp = _effect_stack(np.eye(a.dim) - b.matrix)
-        d1 = _norms(put(a, comp).matrix - put(comp, a).matrix)
-        d2 = _norms(put(a, put(b, c)).matrix - put(put(a, b), c).matrix)
+
+def _s5() -> _Check:
+    def draw(rng, dim, _i):
+        g = _gaussians(rng, dim)
+        lam_a = rng.uniform(0.0, 1.0, dim)
+        lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
+        return (_Draw(*g, (lam_a, lam_b, rng.uniform(0.0, 1.0, dim))),)
+
+    def evaluate(a, b, c):
+        ab, = yield ((a, b),)
+        s = _effect_stack(a.matrix + b.matrix)
+        c_ab, ab_c, c_s, s_c = yield (c, ab), (ab, c), (c, s), (s, c)
+        d1 = _norms(c_ab.matrix - ab_c.matrix)
+        d2 = _norms(c_s.matrix - s_c.matrix)
         return _samples(_worse(d1, d2), a=a, b=b, c=c)
 
-    return _run_check("S4", put, trials, dims, seed, ceiling, draw, evaluate)
+    return _Check("S5", draw, evaluate)
 
 
 def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
@@ -579,20 +731,43 @@ def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     All three effects share one eigenbasis, with the spectra of A and B
     drawn so that A + B <= I always holds.
     """
-    def draw(rng, dim, _i):
-        g = _gaussians(rng, dim)
-        lam_a = rng.uniform(0.0, 1.0, dim)
-        lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
-        return (_Draw(*g, (lam_a, lam_b, rng.uniform(0.0, 1.0, dim))),)
+    return _run_checks(put, trials, dims, seed, ceiling, _s5)[0]
 
-    def evaluate(put, a, b, c):
-        ab = put(a, b)
-        d1 = _norms(put(c, ab).matrix - put(ab, c).matrix)
-        s = _effect_stack(a.matrix + b.matrix)
-        d2 = _norms(put(c, s).matrix - put(s, c).matrix)
-        return _samples(_worse(d1, d2), a=a, b=b, c=c)
 
-    return _run_check("S5", put, trials, dims, seed, ceiling, draw, evaluate)
+def _commutativity(comm_floor, separation_floor) -> _Check:
+    comm_floor = require_tolerance("comm_floor", comm_floor)
+    separation_floor = require_tolerance("separation_floor", separation_floor)
+    min_gap = None
+
+    def draw(rng, dim, i):
+        if i % 2 == 0:
+            return "forward", _draw_commuting_pair(rng, dim)
+        if dim < 2:
+            return None  # every pair commutes; the commutator floor is unreachable
+        return "converse", _draw_generic(rng, dim), _draw_generic(rng, dim), rng
+
+    def evaluate(direction, a, b, rngs=None):
+        nonlocal min_gap
+        if direction[0] == "forward":
+            pab, pba = yield (a, b), (b, a)
+            defect = _worse(_norms(pab.matrix - pba.matrix),
+                            _norms(pab.matrix - a.matrix @ b.matrix))
+            return _samples(defect, direction="forward", a=a, b=b)
+        a, b, reached = _noncommuting_pairs(a, b, rngs, comm_floor)
+        pab, pba = yield (a, b), (b, a)
+        out = []
+        for k, gap in enumerate(_norms(pab.matrix - pba.matrix)):
+            if not reached[k]:
+                out.append(None)
+                continue
+            min_gap = gap if min_gap is None else min(min_gap, gap)
+            out.append((None, None) if gap > separation_floor else
+                       (None, {"direction": "converse", "gap": gap,
+                               "a": a.matrix[k], "b": b.matrix[k]}))
+        return out
+
+    return _Check("commutativity", draw, evaluate, ("forward", "converse"),
+                  lambda: {"min_converse_gap": min_gap})
 
 
 def check_commutativity_theorem(
@@ -609,41 +784,8 @@ def check_commutativity_theorem(
     direction in ``breakdown``, whose ``min_converse_gap`` is the smallest
     converse gap measured (None when none was).
     """
-    comm_floor = require_tolerance("comm_floor", comm_floor)
-    separation_floor = require_tolerance("separation_floor", separation_floor)
-    min_gap = None
-
-    def draw(rng, dim, i):
-        if i % 2 == 0:
-            return "forward", _draw_commuting_pair(rng, dim)
-        if dim < 2:
-            return None  # every pair commutes; the commutator floor is unreachable
-        return "converse", _draw_generic(rng, dim), _draw_generic(rng, dim), rng
-
-    def evaluate(put, direction, a, b, rngs=None):
-        nonlocal min_gap
-        if direction[0] == "forward":
-            pab, pba = put(a, b), put(b, a)
-            defect = _worse(_norms(pab.matrix - pba.matrix),
-                            _norms(pab.matrix - a.matrix @ b.matrix))
-            return _samples(defect, direction="forward", a=a, b=b)
-        a, b, reached = _noncommuting_pairs(a, b, rngs, comm_floor)
-        gaps = _norms(put(a, b).matrix - put(b, a).matrix)
-        out = []
-        for k, gap in enumerate(gaps):
-            if not reached[k]:
-                out.append(None)
-                continue
-            min_gap = gap if min_gap is None else min(min_gap, gap)
-            out.append((None, None) if gap > separation_floor else
-                       (None, {"direction": "converse", "gap": gap,
-                               "a": a.matrix[k], "b": b.matrix[k]}))
-        return out
-
-    report = _run_check("commutativity", put, trials, dims, seed, ceiling, draw, evaluate,
-                        directions=("forward", "converse"))
-    report.breakdown["min_converse_gap"] = min_gap
-    return report
+    check = _commutativity(comm_floor, separation_floor)
+    return _run_checks(put, trials, dims, seed, ceiling, lambda: check)[0]
 
 
 def _noncommuting_pairs(a, b, rngs, comm_floor):
@@ -673,18 +815,12 @@ def run_axiom_suite(put: Product, *, trials: int = DEFAULT_TRIALS,
                     ceiling: float = DEFAULT_CEILING,
                     comm_floor: float = DEFAULT_COMM_FLOOR,
                     separation_floor: float = DEFAULT_SEPARATION_FLOOR) -> list[CheckReport]:
-    """All five axiom checks plus the commutativity criterion."""
-    return [
-        check_s1(put, trials=trials, dims=dims, seed=seed, ceiling=ceiling),
-        check_s2(put, trials=trials, dims=dims, seed=seed + 1, ceiling=ceiling),
-        check_s3(put, trials=trials, dims=dims, seed=seed + 2, ceiling=ceiling),
-        check_s4(put, trials=trials, dims=dims, seed=seed + 3, ceiling=ceiling),
-        check_s5(put, trials=trials, dims=dims, seed=seed + 4, ceiling=ceiling),
-        check_commutativity_theorem(
-            put, trials=trials, dims=dims, seed=seed + 5,
-            comm_floor=comm_floor, ceiling=ceiling,
-            separation_floor=separation_floor),
-    ]
+    """All five axiom checks plus the commutativity criterion, check k on
+    seed + k, each report the one its ``check_*`` function gives there.  The
+    checks are built and evaluated together, per dim and step (see
+    ``_run_checks``)."""
+    return _run_checks(put, trials, dims, seed, ceiling, _s1, _s2, _s3, _s4, _s5,
+                       functools.partial(_commutativity, comm_floor, separation_floor))
 
 
 # ---------------------------------------------------------------------------

@@ -457,26 +457,35 @@ def test_stack_boundaries_leave_the_reports_unchanged(budget, monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 16, 64])
 def test_a_stacked_build_equals_one_draw_builds_bit_for_bit(dim):
-    # S4's layout: a commuting pair in one basis and a generic effect in another
+    # S4's layout: a commuting pair in one basis and a generic effect in
+    # another; then, built with them, as a suite builds a dim, two more
+    # trials' S5 draws, three effects in one basis
     for n in (1, 3):
-        rngs = [np.random.default_rng((dim, k)) for k in range(n)]
-        pairs = [seqprod.axioms._draw_commuting_pair(rng, dim) for rng in rngs]
-        singles = [seqprod.axioms._draw_generic(rng, dim) for rng in rngs]
-        stacks = seqprod.axioms._build([pairs, singles])
-        assert [len(stack) for stack in stacks] == [n, n, n]
-        for k in range(n):
-            built = seqprod.axioms._build_one(pairs[k]) + seqprod.axioms._build_one(singles[k])
-            for stack, y in zip(stacks, built):
-                dec = stack.decomposition
-                assert np.array_equal(stack.matrix[k], y.matrix)
-                assert np.array_equal(dec.eigenvalues[k], y.decomposition.eigenvalues)
-                assert np.array_equal(dec.eigenvectors[k], y.decomposition.eigenvectors)
+        rngs = [np.random.default_rng((dim, k)) for k in range(n + 2)]
+        pairs = [seqprod.axioms._draw_commuting_pair(rng, dim) for rng in rngs[:n]]
+        singles = [seqprod.axioms._draw_generic(rng, dim) for rng in rngs[:n]]
+        triples = [seqprod.axioms._Draw(*seqprod.axioms._gaussians(rng, dim),
+                                        tuple(rng.uniform(size=(3, dim))))
+                   for rng in rngs[n:]]
+        stacks = seqprod.axioms._build([pairs, singles, triples])
+        assert [len(stack) for stack in stacks] == [n, n, n, 2, 2, 2]
+        for group, trials in ((stacks[:3], list(zip(pairs, singles))),
+                              (stacks[3:], [(draw,) for draw in triples])):
+            for k, trial in enumerate(trials):
+                built = sum((seqprod.axioms._build_one(draw) for draw in trial), ())
+                assert len(built) == len(group)
+                for stack, y in zip(group, built):
+                    dec = stack.decomposition
+                    assert np.array_equal(stack.matrix[k], y.matrix)
+                    assert np.array_equal(dec.eigenvalues[k], y.decomposition.eigenvalues)
+                    assert np.array_equal(dec.eigenvectors[k], y.decomposition.eigenvectors)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 6, 16, 64])
 def test_stacked_norms_are_the_single_norms_bit_for_bit(dim):
     rng = np.random.default_rng(dim)
-    for n in (1, 7):
+    # the last stack is above numpy's 256 KiB temporary-elision threshold
+    for n in (1, 7, 2**14 // dim**2 + 1):
         m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
         assert seqprod.axioms._norms(m) == [float(np.linalg.norm(x)) for x in m]
 
@@ -623,6 +632,89 @@ def test_stacks_stay_within_the_entry_budget(monkeypatch):
     stacked = [shape for shape in shapes if len(shape) == 3]
     assert stacked  # two d = 64 bases still fit in one stack
     assert max(math.prod(shape) for shape in stacked) <= seqprod.axioms.STACK_ENTRIES
+
+
+def _dispatches(monkeypatch, run):
+    """The product calls (their stack lengths) and stacked QRs that ``run()`` makes."""
+    products, qrs = [], []
+    phased_kernel, qr = seqprod.effects.phased_product, np.linalg.qr
+
+    def counted_product(a, b, t=1.0):
+        products.append(len(a))
+        return phased_kernel(a, b, t)
+
+    def counted_qr(a, *args, **kwargs):
+        qrs.extend([np.shape(a)] if np.ndim(a) == 3 else [])
+        return qr(a, *args, **kwargs)
+
+    # luders_product calls the module's phased_product
+    monkeypatch.setattr(seqprod.effects, "phased_product", counted_product)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    reports = run()
+    monkeypatch.undo()
+    return reports, products, qrs
+
+
+def test_a_suite_makes_one_build_per_dim_and_one_product_call_per_dim_and_step(monkeypatch):
+    # S4 has three steps, S5 two and the other checks one: 3 calls per dim
+    dims = (2, 3, 4, 6)
+    reports, products, qrs = _dispatches(monkeypatch, lambda: run_axiom_suite(
+        luders_product, trials=25, dims=dims))
+    assert len(qrs) == 4 and len(products) == 12
+    assert [len(shape) for shape in qrs] == [3] * 4
+    # each trial's requests: S1 3, S2 1, S3 2, S4 3 + 2 + 1, S5 1 + 4, commutativity 2
+    assert sum(products) == 25 * (3 + 1 + 2 + 6 + 5 + 2)
+    assert reports == [check(luders_product, trials=25, dims=dims, seed=k)
+                       for k, check in enumerate(ALL_CHECKS[:-1])]
+    # a check alone is the table of one row: one build per dim, one call per dim and step
+    _report, products, qrs = _dispatches(monkeypatch, lambda: check_s4(
+        luders_product, trials=25, dims=dims))
+    assert len(qrs) == 4 and len(products) == 12
+
+
+@pytest.mark.parametrize("product", ["luders", "phased(t=-1)", "raw",
+                                     "wrapped phased(t=1)"])
+def test_a_suite_reports_what_its_checks_report_alone(product):
+    put, dims = SUITE_PRODUCTS[product], (1, 2, 3, 4, 6)
+    alone = [check(put, trials=30, dims=dims, seed=11 + k)
+             for k, check in enumerate(ALL_CHECKS[:-1])]
+    assert run_axiom_suite(put, trials=30, dims=dims, seed=11) == alone
+
+
+def test_a_raising_joint_step_charges_the_error_to_its_own_trial(monkeypatch):
+    # at t = 1e307 the phase t·ln 1e-9 overflows on S3's trial 5 (seed 4 + 2),
+    # which fails the joint dim-2 step of all six checks: S3's dim-2 trials
+    # are then evaluated one at a time, and every other check's in its group
+    original = seqprod.axioms._trial_rng
+
+    def trial_rng(seed, i):
+        return _TinyUniform(original(seed, i)) if (seed, i) == (6, 5) else original(seed, i)
+
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
+    put = phased(1e307)
+    a, b = gen_kernel_disjoint_pair(trial_rng(6, 5), 2)
+    with pytest.raises(seqprod.effects.DomainError) as one_trial:
+        put(a, b)
+    alone = [check(put, trials=20, dims=(2, 3), seed=4 + k)
+             for k, check in enumerate(ALL_CHECKS[:-1])]
+    sizes = []
+    samples = seqprod.axioms._samples
+
+    def recorded(d, **fields):
+        sizes.append(len(d))
+        return samples(d, **fields)
+
+    monkeypatch.setattr(seqprod.axioms, "_samples", recorded)
+    reports = run_axiom_suite(put, trials=20, dims=(2, 3), seed=4)
+    assert reports == alone
+    s3 = reports[2]
+    assert (s3.trials, s3.failures) == (20, 1)
+    assert s3.witness == {"trial": 5, "dim": 2, "error": str(one_trial.value)}
+    assert all("error" not in (r.witness or {}) for r in reports[:2] + reports[3:])
+    # S3's nine other dim-2 trials alone; every other group in one evaluation:
+    # ten trials of S1, S2, S4, S5 (and S3 at dim 3), five forward ones (the
+    # converse direction draws no samples)
+    assert sorted(sizes) == [1] * 9 + [5] * 2 + [10] * 9
 
 
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
