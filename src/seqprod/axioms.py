@@ -15,18 +15,19 @@ Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.  Each check is a
 draw, which makes a trial's RNG calls on its own stream, and an evaluation,
 which builds the derived operands and asks for products in steps, each step
-a set of products that depend only on earlier steps.  The suite builds and
-evaluates its checks together: per dim, the drawn effects of all checks are
-built in one stacked pass, bit for bit as the generators build one draw, in
-stacks of bounded size.  Evaluations are written once, for stacks of trials.
-The library's products, ``luders_product`` and ``phased_product`` with t
-bound by keyword (as the CLI binds it), take stacks, so each step costs one
-product call per dim over all checks.  A check run alone is the same driver
-with one check.  Any other product keeps its own path: it is called once per
-requested product of each trial, on single effects, in the order of the
-check's steps.  A joint build or step that raises is redone check by check,
-then one trial at a time, so each failure is its own trial's, with the
-message a single-effect run gives.
+a set of products that depend only on earlier steps.  Drawn effects have
+one builder, a stacked QR and eigensystem build in stacks of bounded size:
+the suite builds the draws of all its checks per dim in one pass, and the
+generators, the converse redraws and the witness search use it too.
+Evaluations are written once, for stacks of trials.  The library's
+products, ``luders_product`` and ``phased_product`` with t bound by keyword
+(as the CLI binds it), take stacks, so each step costs one product call per
+dim over all checks.  A check run alone is the same driver with one check.
+Any other product keeps its own path: it is called once per requested
+product of each trial, on single effects, in the order of the check's
+steps.  The trials of a joint build or step that raises are evaluated one
+at a time, so each failure is its own trial's, with the message a
+single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -126,18 +127,16 @@ class _Draw(NamedTuple):
 
 
 def _build_one(draw: _Draw) -> tuple[Effect, ...]:
-    """The effects of one draw: what a generator returns."""
-    v = _haar(draw.re, draw.im)
-    return tuple([Effect.from_eigensystem(lam, v) for lam in draw.spectra])
+    """The effects of one draw, what a generator returns: ``_build``'s stacks of one."""
+    return tuple(effect for stack in _build([[draw]]) for effect in stack)
 
 
 def _build(columns: list[list[_Draw]]) -> list[_EffectStack]:
-    """The effects of trials' draws, all of one dim, as stacks, each item bit
-    for bit what ``_build_one`` builds: ``columns`` holds columns of draws,
-    the draws of one column with the same number of spectra, and the result
-    holds one stack per spectrum of each column, in order.  One stacked QR
-    gives the bases, and one stacked build the effects, each basis checked
-    once through the same code run on stacks."""
+    """The effects of trials' draws, all of one dim, as stacks: ``columns``
+    holds columns of draws, the draws of one column with the same number of
+    spectra, and the result holds one stack per spectrum of each column, in
+    order.  One stacked QR gives the bases, and one stacked build the
+    effects, each basis checked once."""
     draws = [draw for column in columns for draw in column]
     bases = _haar(np.stack([d.re for d in draws]), np.stack([d.im for d in draws]))
     spectra, basis, spans, first = [], [], [], 0
@@ -452,14 +451,14 @@ class _Outputs(list):
         return np.stack([x.matrix for x in self])
 
 
-def _operands(groups: list[list[tuple]], build) -> list[list]:
+def _operands(groups: list[list[tuple]]) -> list[list]:
     """The operands of groups of trials, each group's drawn values in one
     layout: per group, the effects of each _Draw position as stacks, which
-    ``build`` makes from the columns of draws of all groups at once (see
-    ``_build``), and each other position's values in a list."""
+    ``_build`` makes from the columns of draws of all groups at once, and
+    each other position's values in a list."""
     columns = [[drawn[p] for drawn in drawns] for drawns in groups
                for p, x in enumerate(drawns[0]) if isinstance(x, _Draw)]
-    stacks = iter(build(columns))
+    stacks = iter(_build(columns))
     out = []
     for drawns in groups:
         operands = []
@@ -470,26 +469,6 @@ def _operands(groups: list[list[tuple]], build) -> list[list]:
                 operands.append([drawn[p] for drawn in drawns])
         out.append(operands)
     return out
-
-
-def _built_one(columns: list[list[_Draw]]) -> list[_EffectStack]:
-    """``_build``'s stacks for one trial, its draws built as the generators build them."""
-    return [_EffectStack.of([e]) for (draw,) in columns for e in _build_one(draw)]
-
-
-def _together(fn, items: list) -> list:
-    """``fn(items)``, one result per item; if that raises, ``fn([item])[0]``
-    for each item, and None for an item where that raises too."""
-    try:
-        return fn(items)
-    except Exception:
-        out = []
-        for item in items:
-            try:
-                out.append(fn([item])[0])
-            except Exception:
-                out.append(None)
-        return out
 
 
 def _joined(stacks: list[_EffectStack]) -> _EffectStack:
@@ -515,9 +494,8 @@ def _products(put, steps: list[tuple]) -> list[tuple]:
 def _jointly(evaluations: dict, put) -> dict:
     """The outcomes of the evaluations ``evaluations[g]``, run side by side:
     a round of their steps is one call of ``put`` on all their requests (see
-    ``_products``), and a round that raises is called again evaluation by
-    evaluation.  An evaluation that raises, or whose step raises when called
-    alone, is left out."""
+    ``_products``).  An evaluation that raises is left out, and so is every
+    evaluation of a round whose call raises."""
     steps, done = {}, {}
 
     def advance(g, products):
@@ -533,10 +511,12 @@ def _jointly(evaluations: dict, put) -> dict:
     while steps:
         current = list(steps.items())
         steps.clear()
-        called = _together(functools.partial(_products, put), [step for _g, step in current])
+        try:
+            called = _products(put, [step for _g, step in current])
+        except Exception:
+            break  # the round is left out
         for (g, _step), products in zip(current, called):
-            if products is not None:
-                advance(g, products)
+            advance(g, products)
     return done
 
 
@@ -559,13 +539,13 @@ def _evaluated(block, put):
     A check's trials of one dim and one layout of drawn values form a group.
     The draws of all groups of one dim are built in one stacked pass.  A
     library product evaluates these groups side by side, one product call
-    per dim and step (see ``_jointly``).  A joint build or step that raises
-    is redone group by group; a group whose build still raises is built one
-    trial at a time, and a group whose evaluation still raises is evaluated
-    one trial at a time.  Any other product evaluates every trial alone:
-    in block order, on stacks of one, with one single-effect product call
-    per request, in each step's order.  So each error is charged to the
-    trial that caused it, with the message a single-effect run gives.
+    per dim and step (see ``_jointly``).  If the joint build raises, each
+    trial of that dim is built alone; a group left out of the joint
+    evaluation is evaluated one trial at a time.  Any other product
+    evaluates every trial alone: in block order, on stacks of one, with one
+    single-effect product call per request, in each step's order.  So each
+    error is charged to the trial that caused it, with the message a
+    single-effect run gives.
     """
     by_dim, outcomes, alone = {}, {}, {}
     for pos, (tally, _i, dim, drawn) in enumerate(block):
@@ -575,8 +555,10 @@ def _evaluated(block, put):
         else:
             outcomes[pos] = drawn
     for groups in by_dim.values():
-        built = _together(functools.partial(_operands, build=_build),
-                          [[block[pos][3] for pos in group] for group in groups.values()])
+        try:
+            built = _operands([[block[pos][3] for pos in group] for group in groups.values()])
+        except Exception:
+            built = [None] * len(groups)
         rows = [(tally, group, operands)
                 for ((tally, _layout), group), operands in zip(groups.items(), built)]
         done = _jointly({g: tally.check.evaluate(*operands)
@@ -590,7 +572,7 @@ def _evaluated(block, put):
             else:
                 for pos in group:
                     try:
-                        alone[pos], = _operands([[block[pos][3]]], _built_one)
+                        alone[pos], = _operands([[block[pos][3]]])
                     except Exception as exc:
                         outcomes[pos] = exc
     for pos, (tally, i, dim, _drawn) in enumerate(block):
@@ -792,21 +774,28 @@ def _noncommuting_pairs(a, b, rngs, comm_floor):
     """Stacks a, b with each pair k whose ‖AB − BA‖_F is below comm_floor
     redrawn from its trial's stream ``rngs[k]``, up to 199 times, and for
     each k whether its pair reaches the floor.  A redraw runs on a copy of
-    the stream, so a trial evaluated again redraws the same pairs."""
-    reached = [value >= comm_floor
-               for value in _norms(a.matrix @ b.matrix - b.matrix @ a.matrix)]
+    the stream, so a trial evaluated again redraws the same pairs.  They are
+    built in chunks of 1, 2, 4, … pairs within STACK_ENTRIES matrix entries,
+    and the first to reach the floor is the pair one-at-a-time redraws take."""
+    def reaches(x, y):
+        return [value >= comm_floor
+                for value in _norms(x.matrix @ y.matrix - y.matrix @ x.matrix)]
+
+    reached = reaches(a, b)
     if all(reached):
         return a, b, reached
-    a, b = list(a), list(b)
-    for k in range(len(a)):
-        if reached[k]:
-            continue
-        rng = copy.deepcopy(rngs[k])
-        for _redraw in range(199):
-            x, y = gen_generic(rng, a[k].dim), gen_generic(rng, a[k].dim)
-            if _norms((x.matrix @ y.matrix - y.matrix @ x.matrix)[None])[0] >= comm_floor:
-                a[k], b[k], reached[k] = x, y, True
-                break
+    a, b, dim = list(a), list(b), a.dim
+    for k in [k for k, hit in enumerate(reached) if not hit]:
+        rng, tried = copy.deepcopy(rngs[k]), 0
+        while tried < 199 and not reached[k]:
+            n = min(tried + 1, 199 - tried, max(1, STACK_ENTRIES // (2 * dim * dim)))
+            draws = [_draw_generic(rng, dim) for _ in range(2 * n)]
+            x, y = _build([draws[0::2], draws[1::2]])
+            if True in (hits := reaches(x, y)):
+                r = hits.index(True)
+                (a[k],), (b[k],) = x[r:r + 1], y[r:r + 1]
+                reached[k] = True
+            tried += n
     return _EffectStack.of(a), _EffectStack.of(b), reached
 
 
@@ -876,8 +865,8 @@ def projector_interpolation(b: Effect, k: int) -> np.ndarray:
 # Non-uniqueness search
 # ---------------------------------------------------------------------------
 
-def _gap_score(a: Effect, b: Effect, t: float) -> float:
-    """‖A ∘_t B − A ∘ B‖_op computed in A's eigenbasis.
+def _gap_score(a: _EffectStack, b: _EffectStack, t: float) -> list[float]:
+    """‖A ∘_t B − A ∘ B‖_op of each pair of the stacks, computed in A's eigenbasis.
 
     With A = V·diag(λ)·V†, k_t = f_{1/2+it}(λ) and k_0 = f_{1/2}(λ), the
     difference is V·M·V† with M = (k_t k_t† − k_0 k_0†) ⊙ (V†·B·V), a
@@ -887,10 +876,12 @@ def _gap_score(a: Effect, b: Effect, t: float) -> float:
     lam, v = dec.eigenvalues, dec.eigenvectors
     k_t = f_z(complex(0.5, t), lam)
     k_0 = f_z(0.5, lam)
-    weights = np.outer(k_t, k_t.conj()) - np.outer(k_0, k_0.conj())
+    weights = k_t[:, :, None] * k_t.conj()[:, None, :] - k_0[:, :, None] * k_0.conj()[:, None, :]
+    # named: numpy multiplies a temporary above 256 KiB in place, which rounds differently
+    m = v.conj().swapaxes(-1, -2) @ b.matrix @ v
     # eigvalsh reads one triangle, so the rounding asymmetry of V†BV is moot
-    w = np.linalg.eigvalsh(weights * (v.conj().T @ b.matrix @ v))
-    return float(np.abs(w).max())  # +0.0, never -0.0, for a zero M
+    w = np.linalg.eigvalsh(weights * m)
+    return np.abs(w).max(axis=-1).tolist()  # +0.0, never -0.0, for a zero M
 
 
 def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
@@ -903,29 +894,41 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     Scores each random draw by ‖A ∘_t B − A ∘ B‖_op computed in A's
     eigenbasis, without forming either product.  That one score ranks the
     draws, sets ``first_hit_trial``, decides ``found`` and is the reported
-    ``gap``.  The two product matrices are built for a found witness alone;
-    a failed search reports only the gap, with its witness fields None.  For
-    a 2x2 witness the reported ``theta`` is t·(ln a² − ln b²) with a² the
-    larger eigenvalue of A, the phase that twists the off-diagonal entry.
+    ``gap``.  The draws of each (dim, t) are built and scored in stacks of at
+    most STACK_ENTRIES matrix entries, and read in trial order.  The two
+    product matrices are built for a found witness alone; a failed search
+    reports only the gap, with its witness fields None.  For a 2x2 witness
+    the reported ``theta`` is t·(ln a² − ln b²) with a² the larger
+    eigenvalue of A, the phase that twists the off-diagonal entry.
     """
     t_values = tuple(_require_real("t_values entry", t) for t in t_values)
     trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
     gap_threshold = require_tolerance("gap_threshold", gap_threshold)
-    best = None
-    first_hit = None
+    best = first_hit = None
+    blocks = {}  # (dim, t) -> the trials drawn and not yet scored, as (i, drawn)
+
+    def score(dim, t):
+        nonlocal best, first_hit
+        block = blocks.pop((dim, t))
+        a, b = _build(list(zip(*[drawn for _i, drawn in block])))
+        for k, gap in enumerate(_gap_score(a, b, t)):
+            i = block[k][0]
+            if gap > gap_threshold and (first_hit is None or i < first_hit):
+                first_hit = i
+            if best is None or gap > best[0] or gap == best[0] and i < best[1]:
+                (x,), (y,) = a[k:k + 1], b[k:k + 1]
+                best = (gap, i, dim, t, x, y)
+
     for i in range(trials):
-        dim = dims[i % len(dims)]
-        t = t_values[i % len(t_values)]
+        dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
         rng = _trial_rng(seed, i)
-        if commuting_only:
-            a, b = gen_commuting_pair(rng, dim)
-        else:
-            a, b = gen_generic(rng, dim), gen_generic(rng, dim)
-        score = _gap_score(a, b, t)
-        if score > gap_threshold and first_hit is None:
-            first_hit = i
-        if best is None or score > best[0]:
-            best = (score, i, dim, t, a, b)
+        drawn = ((_draw_commuting_pair(rng, dim),) if commuting_only
+                 else (_draw_generic(rng, dim), _draw_generic(rng, dim)))
+        if (dim, t) in blocks and 2 * dim * dim * (len(blocks[dim, t]) + 1) > STACK_ENTRIES:
+            score(dim, t)
+        blocks.setdefault((dim, t), []).append((i, drawn))
+    for key in list(blocks):
+        score(*key)
     gap, trial, dim, t, a, b = best
     report = {"found": False, "gap": gap, "threshold": gap_threshold,
               "trial": None, "first_hit_trial": first_hit, "dim": None,

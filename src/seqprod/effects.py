@@ -130,19 +130,19 @@ def _snapped(w: np.ndarray, lo: float, hi: float, top: float = 1.0) -> np.ndarra
     return np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
 
 
-def _eigensystems(w: np.ndarray, eigenvectors, basis=...):
-    """(matrices, eigenvalues, eigenvectors) of the effects with spectra
-    w (..., d) and eigenvector columns ``eigenvectors[basis]`` (..., d, d),
-    checked, sorted ascending and snapped: one effect's arrays for a single
-    eigensystem, a stack's for a stack.  For a stack, ``basis`` may index
-    the distinct bases it shares out, so that each basis is checked once.
+def _effects_from_eigensystems(w, bases, basis=...) -> "_EffectStack":
+    """The stack of effects with spectra w (n, d) and eigenvector columns
+    ``bases[basis]`` (n, d, d), checked, sorted ascending and snapped.
+    ``basis`` may index the distinct bases (m, d, d) the stack shares out,
+    so that each basis is checked once.
 
     Each check reads the whole stack, so every item passes when it passes:
     the orthonormality defect is the Frobenius norm over all bases, which
     bounds each basis's.  The first check to fail raises the error it raises
-    for a single eigensystem.
+    for a stack of one.
     """
-    v = np.asarray(eigenvectors, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.float64)
+    v = np.asarray(bases, dtype=np.complex128)
     each = v[basis]
     if each.shape != w.shape + w.shape[-1:]:
         raise ValidationError("eigensystem shapes do not match")
@@ -156,27 +156,12 @@ def _eigensystems(w: np.ndarray, eigenvectors, basis=...):
         raise ValidationError(
             f"eigenvector columns are not orthonormal (defect {gram:.3e})"
         )
-    v = each
     order = np.argsort(w, axis=-1, kind="stable")
-    single = w.ndim == 1  # basic indexing, scalar reads: one draw pays no stack overhead
-    if single:
-        w, v = w[order], v[:, order]
-    else:
-        w = np.take_along_axis(w, order, -1)
-        v = np.take_along_axis(v, order[..., None, :], -1)
+    w = np.take_along_axis(w, order, -1)
+    v = np.take_along_axis(each, order[..., None, :], -1)
     m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)  # each item's V·diag(w)·V†
-    if single:
-        return hermitize(m), _snapped(w, float(w[0]), float(w[-1])), v
     m = _hermitian_part(_checked_entries(m))  # hermitize, item by item
-    return m, _snapped(w, float(w[..., 0].min()), float(w[..., -1].max())), v
-
-
-def _effects_from_eigensystems(w, bases, basis) -> "_EffectStack":
-    """The effects with spectra w (n, d) in the bases ``bases[basis]``, a
-    stack, by the checks and arithmetic of :meth:`Effect.from_eigensystem`,
-    each item's bit for bit, with each of the bases (m, d, d) checked once.
-    Any item failing a check fails the whole stack."""
-    return _EffectStack(*_eigensystems(np.asarray(w, dtype=np.float64), bases, basis))
+    return _EffectStack(m, _snapped(w, float(w[..., 0].min()), float(w[..., -1].max())), v)
 
 
 def _effect_stack(matrices) -> "_EffectStack":
@@ -225,13 +210,13 @@ class Effect:
     def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
         """Build an effect from a known eigensystem, skipping re-decomposition.
 
-        The one-item case of :func:`_effects_from_eigensystems`: the same
-        checks and arithmetic, run on a single eigensystem.
+        A stack of one of :func:`_effects_from_eigensystems`.
         """
         w = np.asarray(eigenvalues, dtype=np.float64)
         if w.ndim != 1:
             raise ValidationError("eigensystem shapes do not match")
-        return Effect._built(*_eigensystems(w, eigenvectors))
+        effect, = _effects_from_eigensystems(w[None], np.asarray(eigenvectors)[None])
+        return effect
 
     @property
     def dim(self) -> int:

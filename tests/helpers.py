@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from seqprod import Effect, EffectDecomposition, DensityOperator, haar_unitary
+from seqprod.effects import SUPPORT_CUTOFF, f_z
 
 
 def complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -21,6 +22,44 @@ def random_hermitian(rng, dim, scale=1.0) -> np.ndarray:
 
 def random_effect(rng, dim) -> Effect:
     return Effect.from_eigensystem(rng.uniform(0.0, 1.0, dim), haar_unitary(dim, rng))
+
+
+def reference_basis(re, im) -> np.ndarray:
+    """The Haar basis of the Gaussian matrix re + i·im, one draw at a time in
+    plain numpy: the QR factor Q with the phases of R's diagonal moved into
+    its columns."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    d = r.diagonal()
+    return q * (d / np.abs(d))
+
+
+def reference_effects(v, *spectra) -> tuple[Effect, ...]:
+    """The effects with these spectra in the basis v, one at a time in plain
+    numpy, the arithmetic the library's builder must match bit for bit: a
+    stable argsort of the spectrum, V·diag(w)·V† as (V * w) @ V†, its
+    Hermitian part, and eigenvalues at or below SUPPORT_CUTOFF snapped to 0,
+    the rest clamped to 1."""
+    out = []
+    for lam in spectra:
+        order = np.argsort(lam, kind="stable")
+        w, u = np.asarray(lam, dtype=np.float64)[order], v[:, order]
+        m = (u * w) @ u.conj().T
+        snapped = np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
+        out.append(Effect._built((m + m.conj().T) / 2.0, snapped, u))
+    return tuple(out)
+
+
+def reference_gap_score(a: Effect, b: Effect, t: float) -> float:
+    """‖A ∘_t B − A ∘ B‖_op of one pair, in A's eigenbasis: max |eigenvalue|
+    of (k_t k_t† − k_0 k_0†) ⊙ (V†·B·V), with k_z = f_z(λ).  The witness
+    search's stacked score must match it bit for bit."""
+    dec = a.decomposition
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    k_t = f_z(complex(0.5, t), lam)
+    k_0 = f_z(0.5, lam)
+    weights = np.outer(k_t, k_t.conj()) - np.outer(k_0, k_0.conj())
+    w = np.linalg.eigvalsh(weights * (v.conj().T @ b.matrix @ v))
+    return float(np.abs(w).max())
 
 
 def random_projection_matrix(rng, dim, rank) -> np.ndarray:

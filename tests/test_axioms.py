@@ -268,31 +268,34 @@ def test_only_the_reported_witness_is_serialized(check, monkeypatch):
 # stacked trial operands against the one-trial-at-a-time driver
 # ---------------------------------------------------------------------------
 
+def _ref_basis(rng, dim):
+    return helpers.reference_basis(rng.standard_normal((dim, dim)),
+                                   rng.standard_normal((dim, dim)))
+
+
 def _ref_generic(rng, dim):
-    return Effect.from_eigensystem(rng.uniform(0.0, 1.0, dim), haar_unitary(dim, rng))
-
-
-def _ref_in_basis(v, *spectra):
-    return tuple(Effect.from_eigensystem(lam, v) for lam in spectra)
+    lam = rng.uniform(0.0, 1.0, dim)
+    return helpers.reference_effects(_ref_basis(rng, dim), lam)[0]
 
 
 def _ref_commuting_pair(rng, dim):
-    v = haar_unitary(dim, rng)
-    return _ref_in_basis(v, rng.uniform(0.0, 1.0, dim), rng.uniform(0.0, 1.0, dim))
+    v = _ref_basis(rng, dim)
+    return helpers.reference_effects(v, rng.uniform(0.0, 1.0, dim), rng.uniform(0.0, 1.0, dim))
 
 
 def _ref_kernel_disjoint_pair(rng, dim):
-    v = haar_unitary(dim, rng)
+    v = _ref_basis(rng, dim)
     k = int(rng.integers(1, dim)) if dim >= 2 else 1
     lam_a, lam_b = np.zeros(dim), np.zeros(dim)
     lam_a[:k] = rng.uniform(0.0, 1.0, k)
     lam_b[k:] = rng.uniform(0.0, 1.0, dim - k)
-    return _ref_in_basis(v, lam_a, lam_b)
+    return helpers.reference_effects(v, lam_a, lam_b)
 
 
 def _ref_trials(put, comm_floor=0.01, separation_floor=1e-6):
     """The six checks as closures ``trial(rng, dim, i)`` that draw, build and
-    evaluate one trial with the one-draw builders: the stacked driver's reference."""
+    evaluate one trial with the reference builders of ``helpers``: the
+    stacked driver's reference."""
     def fro(m):
         return float(np.linalg.norm(m))
 
@@ -321,10 +324,10 @@ def _ref_trials(put, comm_floor=0.01, separation_floor=1e-6):
         return max(d1, d2), {"a": a, "b": b, "c": c}
 
     def s5(rng, dim, _i):
-        v = haar_unitary(dim, rng)
+        v = _ref_basis(rng, dim)
         lam_a = rng.uniform(0.0, 1.0, dim)
         lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
-        a, b, c = _ref_in_basis(v, lam_a, lam_b, rng.uniform(0.0, 1.0, dim))
+        a, b, c = helpers.reference_effects(v, lam_a, lam_b, rng.uniform(0.0, 1.0, dim))
         ab, s = put(a, b), Effect(a.matrix + b.matrix)
         d1 = fro(put(c, ab).matrix - put(ab, c).matrix)
         d2 = fro(put(c, s).matrix - put(s, c).matrix)
@@ -459,7 +462,9 @@ def test_stack_boundaries_leave_the_reports_unchanged(budget, monkeypatch):
 def test_a_stacked_build_equals_one_draw_builds_bit_for_bit(dim):
     # S4's layout: a commuting pair in one basis and a generic effect in
     # another; then, built with them, as a suite builds a dim, two more
-    # trials' S5 draws, three effects in one basis
+    # trials' S5 draws, three effects in one basis.  Each item must be what
+    # the plain-numpy reference builds from its draw alone, and so must the
+    # generators' stacks of one and Effect.from_eigensystem.
     for n in (1, 3):
         rngs = [np.random.default_rng((dim, k)) for k in range(n + 2)]
         pairs = [seqprod.axioms._draw_commuting_pair(rng, dim) for rng in rngs[:n]]
@@ -472,13 +477,21 @@ def test_a_stacked_build_equals_one_draw_builds_bit_for_bit(dim):
         for group, trials in ((stacks[:3], list(zip(pairs, singles))),
                               (stacks[3:], [(draw,) for draw in triples])):
             for k, trial in enumerate(trials):
-                built = sum((seqprod.axioms._build_one(draw) for draw in trial), ())
-                assert len(built) == len(group)
-                for stack, y in zip(group, built):
+                built, alone, from_eigensystem = [], [], []
+                for draw in trial:
+                    v = helpers.reference_basis(draw.re, draw.im)
+                    built += helpers.reference_effects(v, *draw.spectra)
+                    alone += seqprod.axioms._build_one(draw)
+                    from_eigensystem += [Effect.from_eigensystem(lam, v) for lam in draw.spectra]
+                assert len(built) == len(alone) == len(from_eigensystem) == len(group)
+                for stack, y, *same in zip(group, built, alone, from_eigensystem):
                     dec = stack.decomposition
-                    assert np.array_equal(stack.matrix[k], y.matrix)
-                    assert np.array_equal(dec.eigenvalues[k], y.decomposition.eigenvalues)
-                    assert np.array_equal(dec.eigenvectors[k], y.decomposition.eigenvectors)
+                    expected = (y.matrix, y.decomposition.eigenvalues, y.decomposition.eigenvectors)
+                    items = [(stack.matrix[k], dec.eigenvalues[k], dec.eigenvectors[k])]
+                    items += [(x.matrix, x.decomposition.eigenvalues, x.decomposition.eigenvectors)
+                              for x in same]
+                    for item in items:
+                        assert all(map(np.array_equal, item, expected))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 6, 16, 64])
@@ -493,13 +506,13 @@ def test_stacked_norms_are_the_single_norms_bit_for_bit(dim):
 def test_a_stacked_build_checks_each_basis_once(monkeypatch):
     # three effects share each S5 basis: one Gram product per basis, not per effect
     grams = []
-    original = seqprod.effects._eigensystems
+    original = seqprod.axioms._effects_from_eigensystems
 
-    def recorded(w, eigenvectors, basis=...):
-        grams.append(np.shape(eigenvectors))
-        return original(w, eigenvectors, basis)
+    def recorded(w, bases, basis=...):
+        grams.append(np.shape(bases))
+        return original(w, bases, basis)
 
-    monkeypatch.setattr(seqprod.effects, "_eigensystems", recorded)
+    monkeypatch.setattr(seqprod.axioms, "_effects_from_eigensystems", recorded)
     draws = [seqprod.axioms._Draw(*seqprod.axioms._gaussians(np.random.default_rng(k), 3),
                                   tuple(np.random.default_rng(k).uniform(size=(3, 3))))
              for k in range(4)]
@@ -619,6 +632,36 @@ def test_a_raising_converse_block_redraws_the_same_pairs(monkeypatch):
     assert report.witness["trial"] == 3 and "overflows the phase" in report.witness["error"]
 
 
+@pytest.mark.parametrize("comm_floor, dims", [(0.5, (2, 3)), (0.8, (2,))])
+def test_stacked_redraws_take_the_pairs_single_redraws_take(comm_floor, dims, monkeypatch):
+    # at 0.5 the hits land inside the chunks of 1, 2, 4, ... redraws; 0.8 is
+    # above √2/2, the largest ‖AB − BA‖_F of two 2x2 effects, so every
+    # converse attempt there runs through all 199 redraws and is no trial
+    checks, gaps = _ref_trials(luders_product, comm_floor=comm_floor)
+    (_axiom, comm), = [check for check in checks if check[0] == "commutativity"]
+    expected = _ref_run_check("commutativity", 20, dims, 3, comm,
+                              directions=("forward", "converse"))
+    expected.breakdown["min_converse_gap"] = min(gaps) if gaps else None
+    draws = []
+    draw_generic = seqprod.axioms._draw_generic
+
+    def counted(rng, dim):
+        draws.append(None)
+        return draw_generic(rng, dim)
+
+    monkeypatch.setattr(seqprod.axioms, "_draw_generic", counted)
+    report = check_commutativity_theorem(luders_product, trials=20, dims=dims, seed=3,
+                                         comm_floor=comm_floor)
+    assert report == expected
+    if comm_floor == 0.8:
+        assert report.breakdown["converse_trials"] == 0
+        # the 19 converse attempts before the 20th forward trial, each its
+        # pair and 199 redrawn pairs
+        assert len(draws) == 19 * 2 * 200
+    else:
+        assert report.breakdown["converse_trials"] > 0
+
+
 def test_stacks_stay_within_the_entry_budget(monkeypatch):
     shapes = []
     qr = np.linalg.qr
@@ -683,8 +726,8 @@ def test_a_suite_reports_what_its_checks_report_alone(product):
 
 def test_a_raising_joint_step_charges_the_error_to_its_own_trial(monkeypatch):
     # at t = 1e307 the phase t·ln 1e-9 overflows on S3's trial 5 (seed 4 + 2),
-    # which fails the joint dim-2 step of all six checks: S3's dim-2 trials
-    # are then evaluated one at a time, and every other check's in its group
+    # which fails the joint dim-2 step of all six checks: every dim-2 trial
+    # of that step is then evaluated one at a time
     original = seqprod.axioms._trial_rng
 
     def trial_rng(seed, i):
@@ -711,10 +754,11 @@ def test_a_raising_joint_step_charges_the_error_to_its_own_trial(monkeypatch):
     assert (s3.trials, s3.failures) == (20, 1)
     assert s3.witness == {"trial": 5, "dim": 2, "error": str(one_trial.value)}
     assert all("error" not in (r.witness or {}) for r in reports[:2] + reports[3:])
-    # S3's nine other dim-2 trials alone; every other group in one evaluation:
-    # ten trials of S1, S2, S4, S5 (and S3 at dim 3), five forward ones (the
+    # every dim-2 group of the raising step one trial at a time: ten trials of
+    # S1, S2, S4, S5, S3's nine others and five forward ones; every dim-3 group
+    # in one evaluation: ten trials of S1 to S5, five forward ones (the
     # converse direction draws no samples)
-    assert sorted(sizes) == [1] * 9 + [5] * 2 + [10] * 9
+    assert sorted(sizes) == [1] * 54 + [5] + [10] * 5
 
 
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
@@ -968,47 +1012,53 @@ def test_witness_search_symmetrizes_each_product_once(monkeypatch):
     monkeypatch.setattr(seqprod.axioms, "product_on_selfadjoint", counted_product)
     trials = 6
     assert find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))["found"]
-    # one per generated effect; the two products are built for the reported pair alone
-    assert len(calls) == 2 * trials + 2
+    # the stacked builds take the Hermitian part without it; the two products
+    # are built for the reported pair alone
+    assert len(calls) == 2
     assert len(products) == 2
     # a failed search forms no product
     calls.clear()
     products.clear()
     assert not find_nonuniqueness_witness(trials=trials, dims=(2, 3),
                                           commuting_only=True)["found"]
-    assert len(calls) == 2 * trials
+    assert len(calls) == 0
     assert products == []
 
 
-def _brute_force_search(trials, dims, t_values, seed, gap_threshold=0.01):
-    """The search with the standard-basis gap of every pair as its score, and
-    each pair's eigenbasis score beside that gap."""
-    best = None
-    first_hit = None
+def _brute_force_search(trials, dims, t_values, seed, gap_threshold=0.01,
+                        commuting_only=False):
+    """The search one pair at a time, in trial order, on the reference builds
+    and the per-pair reference score of ``helpers``: its report, and each
+    pair's score beside its standard-basis gap ‖A∘_t B − A∘B‖_op."""
+    best = first_hit = None
     scored = []
     for i in range(trials):
         dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
         rng = np.random.default_rng((seed, i))
-        a, b = gen_generic(rng, dim), gen_generic(rng, dim)
-        ph = product_on_selfadjoint(a, b, t)
-        lu = product_on_selfadjoint(a, b, 0.0)
-        gap = operator_norm(ph - lu)
-        scored.append((seqprod.axioms._gap_score(a, b, t), gap))
-        if gap > gap_threshold and first_hit is None:
+        a, b = (_ref_commuting_pair(rng, dim) if commuting_only
+                else (_ref_generic(rng, dim), _ref_generic(rng, dim)))
+        score = helpers.reference_gap_score(a, b, t)
+        scored.append((score, operator_norm(product_on_selfadjoint(a, b, t)
+                                            - product_on_selfadjoint(a, b, 0.0))))
+        if score > gap_threshold and first_hit is None:
             first_hit = i
-        if best is None or gap > best[0]:
-            best = (gap, i, dim, t, a, b, ph, lu)
-    gap, trial, dim, t, a, b, ph, lu = best
-    lam = a.decomposition.eigenvalues
-    return scored, {
-        "found": gap > gap_threshold, "gap": gap, "trial": trial,
-        "first_hit_trial": first_hit, "dim": dim, "t": t,
-        "theta": float(t * (np.log(lam[1]) - np.log(lam[0]))) if dim == 2 else None,
-        "witness": {"a": matrix_to_document(a.matrix),
-                    "b": matrix_to_document(b.matrix),
-                    "phased": matrix_to_document(ph),
-                    "luders": matrix_to_document(lu)},
-    }
+        if best is None or score > best[0]:
+            best = (score, i, dim, t, a, b)
+    gap, trial, dim, t, a, b = best
+    report = {"found": False, "gap": gap, "threshold": gap_threshold,
+              "trial": None, "first_hit_trial": first_hit, "dim": None,
+              "t": None, "theta": None, "a_eigenvalues": None, "witness": None}
+    if gap > gap_threshold:
+        lam = a.decomposition.eigenvalues
+        report.update(
+            found=True, trial=trial, dim=dim, t=t,
+            theta=(float(t * (np.log(lam[1]) - np.log(lam[0])))
+                   if dim == 2 and lam[0] > 0.0 else None),
+            a_eigenvalues=[float(x) for x in lam],
+            witness={"a": matrix_to_document(a.matrix), "b": matrix_to_document(b.matrix),
+                     "phased": matrix_to_document(product_on_selfadjoint(a, b, t)),
+                     "luders": matrix_to_document(product_on_selfadjoint(a, b, 0.0))})
+    return scored, report
 
 
 @pytest.mark.parametrize("dims", [(2, 16), (64,)])
@@ -1019,14 +1069,59 @@ def test_witness_search_matches_a_standard_basis_scan(seed, dims):
     scored, expected = _brute_force_search(trials, dims, t_values, seed)
     for score, gap in scored:
         assert abs(score - gap) <= 1e-13 * max(1.0, gap)
+    # ranked and decided on the standard-basis gap, the scan picks the same pairs
+    gaps = [gap for _score, gap in scored]
+    assert expected["found"] and gaps.index(max(gaps)) == expected["trial"]
+    assert next(i for i, gap in enumerate(gaps) if gap > 0.01) == expected["first_hit_trial"]
     result = find_nonuniqueness_witness(trials=trials, dims=dims,
                                         t_values=t_values, seed=seed)
-    assert expected["found"]
     # the reported gap is the pair's eigenbasis score, bit for bit, so it lies
     # within the score's bound of the standard-basis gap; every other field is exact
-    score, gap = scored[expected["trial"]]
-    assert abs(result["gap"] - gap) <= 1e-13 * max(1.0, gap)
-    assert {key: result[key] for key in expected} == dict(expected, gap=score)
+    assert abs(result["gap"] - gaps[expected["trial"]]) <= 1e-13 * max(1.0, max(gaps))
+    assert result == expected
+
+
+@pytest.mark.parametrize("search", [
+    {"seed": 0}, {"seed": 5, "trials": 31}, {"seed": 2, "gap_threshold": 0.3},
+    {"seed": 1, "commuting_only": True},
+], ids=["seed0", "seed5", "threshold", "commuting"])
+def test_a_stacked_search_reports_what_a_per_pair_search_reports(search):
+    # the d = 64 blocks hold two trials and are scored as they fill, before
+    # the d = 16 trials, which fill no block: scored out of trial order, the
+    # report must still take the best pair and the first hit in trial order
+    search = {"trials": 24, "dims": (16, 64), "t_values": (1.0, -1.0, 3.0), **search}
+    _scored, expected = _brute_force_search(**search)
+    assert find_nonuniqueness_witness(**search) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 64])
+def test_a_batched_gap_score_is_the_per_pair_score_bit_for_bit(dim):
+    # stacks of 1, 2 and, at d = 64, one above numpy's 256 KiB
+    # temporary-elision threshold; d = 1 is the lone 1 x 1 complex product
+    draws = [seqprod.axioms._draw_generic(np.random.default_rng((dim, k)), dim)
+             for k in range(18)]
+    for t in (1.0, -1.0, 3.0):
+        for n in (1, 2, 9):
+            a, b = seqprod.axioms._build([draws[:n], draws[n:2 * n]])
+            expected = [helpers.reference_gap_score(x, y, t) for x, y in zip(a, b)]
+            assert seqprod.axioms._gap_score(a, b, t) == expected
+
+
+def test_search_stacks_stay_within_the_entry_budget(monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    find_nonuniqueness_witness(trials=12, dims=(16, 64), t_values=(1.0, -1.0))
+    find_nonuniqueness_witness(trials=12, dims=(64,), commuting_only=True)
+    stacked = [shape for shape in shapes if len(shape) == 3]
+    # two generic d = 64 pairs, or four commuting ones, still fit in one stack
+    assert (4, 64, 64) in stacked
+    assert max(math.prod(shape) for shape in stacked) <= seqprod.axioms.STACK_ENTRIES
 
 
 def _assert_decided_on_the_reported_gap(threshold, **search):
