@@ -19,15 +19,15 @@ a set of products that depend only on earlier steps.  Drawn effects have
 one builder, a stacked QR and eigensystem build in stacks of bounded size:
 the suite builds the draws of all its checks per dim in one pass, and the
 generators, the converse redraws and the witness search use it too.
-Evaluations are written once, for stacks of trials.  The library's
-products, ``luders_product`` and ``phased_product`` with t bound by keyword
-(as the CLI binds it), take stacks, so each step costs one product call per
-dim over all checks.  A check run alone is the same driver with one check.
-Any other product keeps its own path: it is called once per requested
-product of each trial, on single effects, in the order of the check's
-steps.  The trials of a joint build or step that raises are evaluated one
-at a time, so each failure is its own trial's, with the message a
-single-effect run gives.
+Evaluations are written once, for stacks of trials, and every product runs
+through one driver that evaluates the checks of a dim side by side.  The
+library's products, ``luders_product`` and ``phased_product`` with t bound
+by keyword (as the CLI binds it), take stacks, so each step costs one
+product call per dim over all checks; any other product is called once per
+item of that step, on single effects.  A check run alone is the same driver
+with one check.  If a dim's build, an evaluation or a product call raises,
+each trial of that dim is evaluated again alone, so each failure is its
+own trial's, with the message a single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -245,7 +245,8 @@ class CheckReport:
     """Outcome of one randomized check.
 
     ``trials`` counts hypothesis-satisfying executions only; ``witness``
-    serializes the inputs of the first exception, else of the worst defect.
+    serializes the inputs of the first exception, else of the first trial
+    that judged itself failed, else of the worst defect.
     ``worst_violation`` is the largest measured (finite) defect.  The fields
     are declared in report key order, so a shallow copy of them,
     ``dict(vars(report))``, is the report; a deep copy such as
@@ -384,13 +385,13 @@ def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
     Each round draws the attempts every unfinished check still needs, check
     by check in trial order, and evaluates them together (see
     ``_attempts``): all effects of one dim are built in one stacked pass,
-    and with a library product each step of all their evaluations is one
-    product call on the joined requests.  A check run alone is the table of
-    one row.  Any exception raised in a trial, by its draw, by building its
-    effects, by the product under test or by a result it returned, counts
-    as a failure of that trial and never aborts the run.  Outcomes are
-    counted in trial order, check by check, so a report does not depend on
-    which other checks ran beside it.
+    and each step of all their evaluations is one ``_products`` call on
+    the joined requests, whatever the product.  A check run alone is the
+    table of one row.  Any exception raised in a trial, by its draw, by
+    building its effects, by the product under test or by a result it
+    returned, counts as a failure of that trial and never aborts the run.
+    Outcomes are counted in trial order, check by check, so a report does
+    not depend on which other checks ran beside it.
     """
     trials, seed, dims = _schedule(trials, seed, dims)
     ceiling = require_tolerance("ceiling", ceiling)
@@ -482,8 +483,12 @@ def _joined(stacks: list[_EffectStack]) -> _EffectStack:
 
 
 def _products(put, steps: list[tuple]) -> list[tuple]:
-    """For each step, the products of its requests ``(a, b)``, from one call
-    of ``put`` on the requests of all steps joined into one stack."""
+    """For each step, the products of its requests ``(a, b)``: a library
+    product (see ``_takes_stacks``) makes them in one call on the requests
+    of all steps joined into one stack, any other product in one call per
+    item, on single effects, in request order."""
+    if not _takes_stacks(put):
+        return [tuple(_Outputs(map(put, a, b)) for a, b in step) for step in steps]
     pairs = [pair for step in steps for pair in step]
     out = put(_joined([a for a, _b in pairs]), _joined([b for _a, b in pairs]))
     ends = accumulate(len(a) for a, _b in pairs)
@@ -491,45 +496,28 @@ def _products(put, steps: list[tuple]) -> list[tuple]:
     return [tuple(islice(parts, len(step))) for step in steps]
 
 
-def _jointly(evaluations: dict, put) -> dict:
-    """The outcomes of the evaluations ``evaluations[g]``, run side by side:
-    a round of their steps is one call of ``put`` on all their requests (see
-    ``_products``).  An evaluation that raises is left out, and so is every
-    evaluation of a round whose call raises."""
-    steps, done = {}, {}
+def _jointly(rows: list[tuple], put) -> list:
+    """The outcomes of the evaluations ``check.evaluate(*operands)`` of the
+    rows ``(check, operands)``, run side by side: a round of their steps is
+    one ``_products`` call on all their requests.  An exception raised by
+    an evaluation or by the call propagates."""
+    evaluations = [check.evaluate(*operands) for check, operands in rows]
+    steps, done = {}, [None] * len(rows)
 
     def advance(g, products):
         try:
             steps[g] = evaluations[g].send(products)
         except StopIteration as stop:
             done[g] = stop.value
-        except Exception:
-            pass  # left out: its trials are evaluated alone, each error charged there
 
-    for g in evaluations:
+    for g in range(len(rows)):
         advance(g, None)
     while steps:
         current = list(steps.items())
         steps.clear()
-        try:
-            called = _products(put, [step for _g, step in current])
-        except Exception:
-            break  # the round is left out
-        for (g, _step), products in zip(current, called):
+        for (g, _step), products in zip(current, _products(put, [step for _g, step in current])):
             advance(g, products)
     return done
-
-
-def _driven(evaluation, put) -> list:
-    """The outcomes of ``evaluation``, each step's products one call of
-    ``put`` per item, on single effects, in request order."""
-    products = None
-    while True:
-        try:
-            step = evaluation.send(products)
-        except StopIteration as stop:
-            return stop.value
-        products = tuple(_Outputs(map(put, a, b)) for a, b in step)
 
 
 def _evaluated(block, put):
@@ -537,17 +525,16 @@ def _evaluated(block, put):
     ``(tally, i, dim, drawn)``.
 
     A check's trials of one dim and one layout of drawn values form a group.
-    The draws of all groups of one dim are built in one stacked pass.  A
-    library product evaluates these groups side by side, one product call
-    per dim and step (see ``_jointly``).  If the joint build raises, each
-    trial of that dim is built alone; a group left out of the joint
-    evaluation is evaluated one trial at a time.  Any other product
-    evaluates every trial alone: in block order, on stacks of one, with one
-    single-effect product call per request, in each step's order.  So each
-    error is charged to the trial that caused it, with the message a
-    single-effect run gives.
+    The draws of all groups of one dim are built in one stacked pass, and
+    the groups are evaluated side by side, one ``_products`` call per dim
+    and step (see ``_jointly``).  If the build, an evaluation or a product
+    call raises, each trial of that dim is evaluated alone: on its items of
+    the stacked build, or on a build of its own draw when the stacked build
+    raised.  A trial that raises alone takes that exception as its outcome,
+    so each error is charged to the trial that caused it, with the message
+    a single-effect run gives.
     """
-    by_dim, outcomes, alone = {}, {}, {}
+    by_dim, outcomes = {}, {}
     for pos, (tally, _i, dim, drawn) in enumerate(block):
         if isinstance(drawn, tuple):
             layout = tuple(len(x.spectra) if isinstance(x, _Draw) else None for x in drawn)
@@ -555,32 +542,23 @@ def _evaluated(block, put):
         else:
             outcomes[pos] = drawn
     for groups in by_dim.values():
+        built = None
         try:
             built = _operands([[block[pos][3] for pos in group] for group in groups.values()])
+            done = _jointly([(tally.check, operands)
+                             for (tally, _layout), operands in zip(groups, built)], put)
+            for group, group_outcomes in zip(groups.values(), done):
+                outcomes.update(zip(group, group_outcomes))
         except Exception:
-            built = [None] * len(groups)
-        rows = [(tally, group, operands)
-                for ((tally, _layout), group), operands in zip(groups.items(), built)]
-        done = _jointly({g: tally.check.evaluate(*operands)
-                         for g, (tally, _group, operands) in enumerate(rows)
-                         if operands is not None}, put) if _takes_stacks(put) else {}
-        for g, (_tally, group, operands) in enumerate(rows):
-            if g in done:
-                outcomes.update(zip(group, done[g]))
-            elif operands is not None:
-                alone.update((pos, [x[k:k + 1] for x in operands]) for k, pos in enumerate(group))
-            else:
-                for pos in group:
+            for g, ((tally, _layout), group) in enumerate(groups.items()):
+                for k, pos in enumerate(group):
                     try:
-                        alone[pos], = _operands([[block[pos][3]]])
+                        operands = ([x[k:k + 1] for x in built[g]] if built is not None
+                                    else _operands([[block[pos][3]]])[0])
+                        (outcomes[pos],), = _jointly([(tally.check, operands)], put)
                     except Exception as exc:
                         outcomes[pos] = exc
     for pos, (tally, i, dim, _drawn) in enumerate(block):
-        if pos in alone:
-            try:
-                outcomes[pos], = _driven(tally.check.evaluate(*alone[pos]), put)
-            except Exception as exc:
-                outcomes[pos] = exc
         yield tally, i, dim, outcomes[pos]
 
 

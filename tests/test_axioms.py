@@ -37,7 +37,7 @@ from seqprod import (
     projector_interpolation,
     run_axiom_suite,
 )
-from seqprod.serialize import dumps, matrix_to_document
+from seqprod.serialize import document_to_matrix, dumps, matrix_to_document
 
 import helpers
 
@@ -416,7 +416,7 @@ SUITE_PRODUCTS = {"luders": luders_product, "phased(t=-1)": phased(-1.0),
                   "phased(t=0.5)": phased(0.5), "phased(t=3)": phased(3.0),
                   "raw": seqprod.cli._raw_matrix_product,
                   "phased(t=0)": phased(0.0), "phased(t=1)": phased(1.0),
-                  # a wrapper the library does not recognize: called per trial
+                  # a wrapper the library does not recognize: called once per item
                   "wrapped phased(t=1)": lambda a, b: phased_product(a, b, 1.0)}
 
 
@@ -759,6 +759,65 @@ def test_a_raising_joint_step_charges_the_error_to_its_own_trial(monkeypatch):
     # in one evaluation: ten trials of S1 to S5, five forward ones (the
     # converse direction draws no samples)
     assert sorted(sizes) == [1] * 54 + [5] + [10] * 5
+
+
+def test_a_user_product_is_called_per_item_inside_the_joint_driver(monkeypatch):
+    # a product that takes no stacks runs through the same joint driver: each
+    # step of a dim's groups is one call per request, on single effects
+    put, dims = SUITE_PRODUCTS["wrapped phased(t=1)"], (2, 3, 4, 6)
+    expected = run_axiom_suite(phased(1.0), trials=25, dims=dims)
+    seen, sizes = [], []
+
+    def recorded(a, b):
+        seen.append((type(a), type(b)))
+        return put(a, b)
+
+    samples = seqprod.axioms._samples
+
+    def recorded_samples(d, **fields):
+        sizes.append(len(d))
+        return samples(d, **fields)
+
+    monkeypatch.setattr(seqprod.axioms, "_samples", recorded_samples)
+    assert run_axiom_suite(recorded, trials=25, dims=dims) == expected
+    # each trial's requests: S1 3, S2 1, S3 2, S4 6, S5 5, commutativity 2
+    assert seen == [(Effect, Effect)] * (25 * 19)
+    # dims 2, 3, 4 and 6 hold 7, 6, 6 and 6 trials of S1 to S5, and 4, 3, 3
+    # and 3 forward ones (the converse direction draws no samples)
+    assert sorted(sizes) == sorted([7, 6, 6, 6] * 5 + [4, 3, 3, 3])
+
+
+def test_an_evaluation_that_raises_on_one_trial_charges_that_trial_alone(monkeypatch):
+    # the product returns a bare ndarray for trial 5's A alone, so S2's
+    # evaluation raises when it reads the joint dim-2 products; that dim is
+    # then evaluated again, trial by trial
+    target = _ref_generic(np.random.default_rng((4, 5)), 2).matrix
+    calls, sizes = [], []
+
+    def bare_for_one(a, b):
+        calls.append(None)
+        out = luders_product(a, b)
+        return out.matrix if np.array_equal(b.matrix, target) else out
+
+    (_axiom, s2), = [check for check in _ref_trials(bare_for_one)[0] if check[0] == "S2"]
+    expected = _ref_run_check("S2", 20, (2, 3), 4, s2)
+    calls.clear()
+    samples = seqprod.axioms._samples
+
+    def recorded(d, **fields):
+        sizes.append(len(d))
+        return samples(d, **fields)
+
+    monkeypatch.setattr(seqprod.axioms, "_samples", recorded)
+    report = check_s2(bare_for_one, trials=20, dims=(2, 3), seed=4)
+    assert report == expected
+    assert (report.trials, report.failures) == (20, 1)
+    assert report.witness == {"trial": 5, "dim": 2,
+                              "error": "'numpy.ndarray' object has no attribute 'matrix'"}
+    # the dim-3 group in one evaluation, the dim-2 one trial by trial, after
+    # its joint round made each of its ten requests once already
+    assert sorted(sizes) == [1] * 9 + [10]
+    assert len(calls) == 10 + 10 + 10
 
 
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
@@ -1122,6 +1181,47 @@ def test_search_stacks_stay_within_the_entry_budget(monkeypatch):
     # two generic d = 64 pairs, or four commuting ones, still fit in one stack
     assert (4, 64, 64) in stacked
     assert max(math.prod(shape) for shape in stacked) <= seqprod.axioms.STACK_ENTRIES
+
+
+def _d2_supremum(t):
+    """The largest gap any 2x2 effect pair reaches at t: max over 0 < x <= 1
+    of √x·|sin(t·ln x / 2)|, which x = exp(−2·arctan|t| / |t|) attains;
+    0.1769 / 0.3224 / 0.6256 at t = 0.5 / 1 / 3."""
+    t = abs(t)
+    return math.exp(-math.atan(t) / t) * t / math.hypot(1.0, t)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_a_d2_witness_gap_is_its_closed_form_below_the_supremum(seed):
+    # with A = V·diag(λ)·V† the gap is 2√(λ₀λ₁)·|sin(θ/2)|·|(V†BV)₀₁|, and
+    # |(V†BV)₀₁| <= ½ bounds it by the supremum
+    for t in (0.5, 1.0, 3.0, -1.0):
+        report = find_nonuniqueness_witness(trials=200, dims=(2,), t_values=(t,), seed=seed)
+        assert report["found"]
+        lam0, lam1 = report["a_eigenvalues"]
+        a, b = (document_to_matrix(report["witness"][key]) for key in ("a", "b"))
+        v = np.linalg.eigh(a)[1]
+        b01 = abs((v.conj().T @ b @ v)[0, 1])
+        closed = 2.0 * math.sqrt(lam0 * lam1) * abs(math.sin(report["theta"] / 2.0)) * b01
+        assert abs(report["gap"] - closed) <= 1e-14
+        assert report["gap"] <= _d2_supremum(t)
+
+
+def test_a_resonant_spectrum_gives_the_luders_product_for_every_b():
+    # when λ₀/λ₁ = e^{−2π/t} the phases t·ln λ differ by 2π, so A∘_t B = A∘B
+    # for every B, commuting or not; 1 % off that ratio the products differ
+    rng = np.random.default_rng(13)
+    basis = seqprod.axioms._gaussians(rng, 2)
+    bs = [seqprod.axioms._draw_generic(rng, 2) for _ in range(50)]
+
+    def gaps(t, ratio):
+        a_draw = seqprod.axioms._Draw(*basis, (np.array([0.9 * ratio, 0.9]),))
+        a, b = seqprod.axioms._build([[a_draw] * len(bs), bs])
+        return seqprod.axioms._gap_score(a, b, t)
+
+    for t in (0.5, 1.0, 3.0):
+        assert max(gaps(t, math.exp(-2.0 * math.pi / t))) <= 1e-14
+    assert max(gaps(3.0, 1.01 * math.exp(-2.0 * math.pi / 3.0))) > 1e-3
 
 
 def _assert_decided_on_the_reported_gap(threshold, **search):
