@@ -553,16 +553,6 @@ def _operands(groups: list[list[tuple]]) -> list[list]:
     return out
 
 
-def _joined(stacks: list[_EffectStack]) -> _EffectStack:
-    """The items of these stacks, of one dim, in one stack, in order."""
-    if len(stacks) == 1:
-        return stacks[0]
-    decs = [x.decomposition for x in stacks]
-    return _EffectStack(np.concatenate([x.matrix for x in stacks]),
-                        np.concatenate([dec.eigenvalues for dec in decs]),
-                        np.concatenate([dec.eigenvectors for dec in decs]))
-
-
 def _products(put, steps: list[tuple]) -> list[tuple]:
     """For each step, the products of its requests ``(a, b)``: a library
     product (see ``_takes_stacks``) makes them in one call on the requests
@@ -571,7 +561,7 @@ def _products(put, steps: list[tuple]) -> list[tuple]:
     if not _takes_stacks(put):
         return [tuple(_Outputs(map(put, a, b)) for a, b in step) for step in steps]
     pairs = [pair for step in steps for pair in step]
-    out = put(_joined([a for a, _b in pairs]), _joined([b for _a, b in pairs]))
+    out = put(_EffectStack.of([a for a, _b in pairs]), _EffectStack.of([b for _a, b in pairs]))
     ends = accumulate(len(a) for a, _b in pairs)
     parts = iter([out[end - len(a):end] for (a, _b), end in zip(pairs, ends)])
     return [tuple(islice(parts, len(step))) for step in steps]
@@ -825,8 +815,8 @@ def check_commutativity_theorem(
     direction in ``breakdown``, whose ``min_converse_gap`` is the smallest
     converse gap measured (None when none was).
     """
-    check = _commutativity(comm_floor, separation_floor)
-    return _run_checks(put, trials, dims, seed, ceiling, lambda: check)[0]
+    return _run_checks(put, trials, dims, seed, ceiling,
+                       functools.partial(_commutativity, comm_floor, separation_floor))[0]
 
 
 def _noncommuting_pairs(a, b, rngs, comm_floor):

@@ -24,9 +24,12 @@ built: its decomposition holds exact zeros there (its matrix is unchanged).
 
 The kernel also runs on stacks of effects of one dim (``_EffectStack``), as
 the axiom checks evaluate many trials at once: f_z, ``apply``,
-:func:`kraus_operator`, the products and the effect constructor act item by
-item, each item's result bit for bit the single-effect one.  Their checks
-read the whole stack, so one failing item fails the stack.
+:func:`kraus_operator` and the products act item by item, each item's result
+bit for bit the single-effect one.  Effects have one constructor from
+matrices, ``_effect_stack``, one :func:`hermitize` and one
+:func:`hermitian_eig` on a whole stack; ``Effect(matrix)``, ``Projection``
+and ``DensityOperator`` are its stacks of one.  Its checks read the whole
+stack, so one failing item fails the stack.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ import numpy as np
 from .linalg import (
     SpectralDecomposition,
     ValidationError,
-    _checked_entries,
-    _hermitian_part,
+    _as_square,
     hermitian_eig,
     hermitize,
     require_tolerance,
@@ -130,16 +132,17 @@ def _snapped(w: np.ndarray, lo: float, hi: float, top: float = 1.0) -> np.ndarra
     return np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
 
 
-def _effects_from_eigensystems(w, bases, basis=...) -> "_EffectStack":
+def _effects_from_eigensystems(w, bases, basis=...):
     """The stack of effects with spectra w (n, d) and eigenvector columns
-    ``bases[basis]`` (n, d, d), checked, sorted ascending and snapped.
-    ``basis`` may index the distinct bases (m, d, d) the stack shares out,
-    so that each basis is checked once.
+    ``bases[basis]`` (n, d, d), checked, sorted ascending and snapped; or,
+    for w (d,) and a basis (d, d), that one effect.  ``basis`` may index the
+    distinct bases (m, d, d) the stack shares out, so that each basis is
+    checked once.
 
     Each check reads the whole stack, so every item passes when it passes:
     the orthonormality defect is the Frobenius norm over all bases, which
     bounds each basis's.  The first check to fail raises the error it raises
-    for a stack of one.
+    for a single effect.
     """
     w = np.asarray(w, dtype=np.float64)
     v = np.asarray(bases, dtype=np.complex128)
@@ -159,21 +162,23 @@ def _effects_from_eigensystems(w, bases, basis=...) -> "_EffectStack":
     order = np.argsort(w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, -1)
     v = np.take_along_axis(each, order[..., None, :], -1)
-    m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)  # each item's V·diag(w)·V†
-    m = _hermitian_part(_checked_entries(m))  # hermitize, item by item
-    return _EffectStack(m, _snapped(w, float(w[..., 0].min()), float(w[..., -1].max())), v)
+    m = hermitize((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))  # each V·diag(w)·V†
+    snapped = _snapped(w, float(w[..., 0].min()), float(w[..., -1].max()))
+    return (_EffectStack if w.ndim == 2 else Effect._built)(m, snapped, v)
 
 
-def _effect_stack(matrices) -> "_EffectStack":
-    """The effects with matrices (n, d, d), a stack, by the checks and
-    arithmetic of ``Effect(matrix)``, each item's bit for bit.  Any item
-    failing a check fails the whole stack; a stack of one raises what
-    ``Effect`` raises."""
-    m = np.asarray(matrices, dtype=np.complex128)
-    # Effect checks the entries before and after hermitizing, which may overflow
-    m = _checked_entries(_hermitian_part(_checked_entries(m)))
-    w, v = np.linalg.eigh(m)
-    return _EffectStack(m, _snapped(w, float(w[:, 0].min()), float(w[:, -1].max())), v)
+def _effect_stack(matrices, top: float = 1.0) -> "_EffectStack":
+    """The effects with matrices (n, d, d), a stack: each item hermitized,
+    decomposed, its spectrum checked against [0, top] and snapped.  This is
+    the one effect constructor: ``Effect(matrix)`` is its stack of one, so
+    each item is bit for bit ``Effect(matrices[k])``.  Any item failing a
+    check fails the whole stack with the error a stack of one raises."""
+    m = hermitize(matrices)
+    # hermitian_eig checks the entries again: hermitizing may overflow
+    dec = hermitian_eig(m)
+    w = dec.eigenvalues
+    return _EffectStack(m, _snapped(w, float(w[:, 0].min()), float(w[:, -1].max()), top),
+                        dec.eigenvectors)
 
 
 class Effect:
@@ -189,14 +194,8 @@ class Effect:
     decomposition: SpectralDecomposition
 
     def __init__(self, matrix):
-        m = hermitize(matrix)
-        self._finish(m, hermitian_eig(m))
-
-    def _finish(self, m, dec, top: float = 1.0):
-        w = dec.eigenvalues
-        self.matrix = m
-        self.decomposition = SpectralDecomposition(
-            _snapped(w, float(w[0]), float(w[-1]), top), dec.eigenvectors)
+        effect, = _effect_stack(_as_square(matrix)[None])
+        self.matrix, self.decomposition = effect.matrix, effect.decomposition
 
     @staticmethod
     def _built(m, w, v) -> "Effect":
@@ -208,15 +207,12 @@ class Effect:
 
     @staticmethod
     def from_eigensystem(eigenvalues, eigenvectors) -> "Effect":
-        """Build an effect from a known eigensystem, skipping re-decomposition.
-
-        A stack of one of :func:`_effects_from_eigensystems`.
-        """
+        """Build an effect from a known eigensystem, skipping re-decomposition,
+        by the checks and arithmetic of :func:`_effects_from_eigensystems`."""
         w = np.asarray(eigenvalues, dtype=np.float64)
         if w.ndim != 1:
             raise ValidationError("eigensystem shapes do not match")
-        effect, = _effects_from_eigensystems(w[None], np.asarray(eigenvectors)[None])
-        return effect
+        return _effects_from_eigensystems(w, eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -250,10 +246,10 @@ class DensityOperator(Effect):
 
     def __init__(self, matrix, *, trace_tol: float = 1e-10):
         trace_tol = require_tolerance("trace_tol", trace_tol)
-        m = hermitize(matrix)
         # a positive matrix's spectrum is bounded by its trace, here 1 + trace_tol
-        self._finish(m, hermitian_eig(m), top=1.0 + trace_tol)
-        tr = float(np.trace(m).real)
+        state, = _effect_stack(_as_square(matrix)[None], 1.0 + trace_tol)
+        self.matrix, self.decomposition = state.matrix, state.decomposition
+        tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > trace_tol:
             raise ValidationError(f"density operator trace {tr!r} is not 1")
 
@@ -272,11 +268,16 @@ class _EffectStack:
         self.decomposition = SpectralDecomposition(eigenvalues, eigenvectors)
 
     @staticmethod
-    def of(effects) -> "_EffectStack":
-        """The stack of these effects, all of one dim."""
-        return _EffectStack(np.stack([e.matrix for e in effects]),
-                            np.stack([e.decomposition.eigenvalues for e in effects]),
-                            np.stack([e.decomposition.eigenvectors for e in effects]))
+    def of(parts) -> "_EffectStack":
+        """The items of these effects, or of these stacks of effects, all of
+        one dim, in one stack, in order."""
+        if len(parts) == 1 and isinstance(parts[0], _EffectStack):
+            return parts[0]
+        join = np.concatenate if isinstance(parts[0], _EffectStack) else np.stack
+        decs = [x.decomposition for x in parts]
+        return _EffectStack(join([x.matrix for x in parts]),
+                            join([dec.eigenvalues for dec in decs]),
+                            join([dec.eigenvectors for dec in decs]))
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,11 @@ rounding, so the callers that need a Hermitian result hermitize it: effect
 construction, ``Effect.support`` and the projector interpolation.
 :func:`hermitian_eig` does not, as ``eigh`` reads one triangle: a caller with
 drifted data hermitizes first.  Strict rejection (for I/O boundaries) is a
-separate concern, see :func:`is_hermitian`.
+separate concern, see :func:`is_hermitian`.  :func:`hermitize` and
+:func:`hermitian_eig` take a matrix or a stack (n, d, d) of them, with the
+same checks and messages, and compute each item bit for bit as the single
+matrix: the effect constructor builds one effect and a stack of them
+through the same two calls.
 
 Invalid input raises :class:`ValidationError`, the base of every invalid-input
 error in the package; a solver's numpy ``LinAlgError`` propagates as raised.
@@ -55,15 +59,12 @@ def require_tolerance(name: str, value) -> float:
     return tol
 
 
-def _as_square(matrix) -> np.ndarray:
+def _as_square(matrix, ndims=(2,)) -> np.ndarray:
+    """``matrix`` as complex128, if a square matrix, or with ``ndims`` (2, 3)
+    a stack (n, d, d) of them, of dimension >= 1 with finite entries."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    return _checked_entries(m)
-
-
-def _checked_entries(m: np.ndarray) -> np.ndarray:
-    """m, a square matrix or a stack of them, if of dimension >= 1 with finite entries."""
     if m.shape[-1] == 0:
         raise ValidationError("matrices must have dimension >= 1")
     if not np.isfinite(m).all():
@@ -72,12 +73,11 @@ def _checked_entries(m: np.ndarray) -> np.ndarray:
 
 
 def hermitize(matrix) -> np.ndarray:
-    """Hermitian part (M + M†)/2; exact on already-Hermitian input."""
-    return _hermitian_part(_as_square(matrix))
+    """Hermitian part (M + M†)/2; exact on already-Hermitian input.
 
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M†)/2 of a matrix, or of each matrix of a stack (..., d, d)."""
+    For a stack (n, d, d), each item's, bit for bit.
+    """
+    m = _as_square(matrix, (2, 3))
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -129,8 +129,10 @@ def hermitian_eig(matrix) -> SpectralDecomposition:
 
     ``eigh`` reads one triangle, so a caller with drifted data passes
     ``hermitize(m)``.  numpy's ``LinAlgError`` propagates if the solver gives up.
+    For a stack (n, d, d), eigenvalues (n, d) and eigenvectors (n, d, d), each
+    item's bit for bit.
     """
-    w, v = np.linalg.eigh(_as_square(matrix))
+    w, v = np.linalg.eigh(_as_square(matrix, (2, 3)))
     return SpectralDecomposition(w, v)
 
 

@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import math
 from dataclasses import asdict
 
@@ -825,17 +826,22 @@ def test_an_evaluation_that_raises_on_one_trial_charges_that_trial_alone(monkeyp
 @pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()},
                                       {"dims": (0,)}, {"dims": (2, -1)}, {"dims": (2.5,)},
                                       {"trials": 2.5}, {"trials": True},
-                                      {"seed": 1.5}, {"seed": True}],
+                                      {"seed": 1.5}, {"seed": True},
+                                      {"trials": 0, "comm_floor": -1}],
                          ids=["trials=0", "trials=-3", "dims=()",
                               "dims=(0,)", "dims=(2,-1)", "dims=(2.5,)",
-                              "trials=2.5", "trials=True", "seed=1.5", "seed=True"])
+                              "trials=2.5", "trials=True", "seed=1.5", "seed=True",
+                              "trials=0,comm_floor=-1"])
 def test_schedule_that_runs_nothing_is_rejected(fn, schedule):
     # trials, seed and each dim must be integers (a bool is not): invalid
-    # input, not a failed trial, a rounded trial count or a reported `true`
+    # input, not a failed trial, a rounded trial count or a reported `true`.
+    # The schedule is named before an invalid floor, by every entry point
+    # that takes one
     args = () if fn is find_nonuniqueness_witness else (phased(1.0),)
-    (name,) = schedule
+    name = next(iter(schedule))
+    taken = inspect.signature(fn).parameters
     with pytest.raises(ValidationError, match=name):
-        fn(*args, **schedule)
+        fn(*args, **{key: value for key, value in schedule.items() if key in taken})
 
 
 def test_numpy_integer_schedule_is_reported_as_python_ints():
@@ -1071,16 +1077,16 @@ def test_witness_search_symmetrizes_each_product_once(monkeypatch):
     monkeypatch.setattr(seqprod.axioms, "product_on_selfadjoint", counted_product)
     trials = 6
     assert find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))["found"]
-    # the stacked builds take the Hermitian part without it; the two products
-    # are built for the reported pair alone
-    assert len(calls) == 2
+    # one symmetrization per stacked build, here one per dim, and one per
+    # product; the two products are built for the reported pair alone
+    assert len(calls) == 2 + 2
     assert len(products) == 2
-    # a failed search forms no product
+    # a failed search forms no product: its stacked builds alone symmetrize
     calls.clear()
     products.clear()
     assert not find_nonuniqueness_witness(trials=trials, dims=(2, 3),
                                           commuting_only=True)["found"]
-    assert len(calls) == 0
+    assert len(calls) == 2
     assert products == []
 
 

@@ -191,9 +191,11 @@ def test_projection_validation():
     (lambda: DensityOperator(np.diag([0.0, 1.0 + 3e-8]), trace_tol=1e-8), "1.00000001"),
     (lambda: closed_form_2d(0.5, 0.5, 1 + 2e-12, 0, 0.5), "1.000000000002"),
     (lambda: QuantumChannel([np.sqrt(1 + 5e-10) * np.eye(2)]), "1.0000000005"),
+    # an effect is one matrix: a stack of them is no effect
+    (lambda: Effect(np.zeros((2, 2, 2))), r"expected a square matrix, got shape \(2, 2, 2\)"),
 ], ids=["eigensystem-shapes", "eigensystem-nan", "eigensystem-not-orthonormal",
         "projection-not-idempotent", "effect-above-one", "state-above-trace-edge",
-        "closed-form-above-one", "channel-increases-trace"])
+        "closed-form-above-one", "channel-increases-trace", "effect-of-a-stack"])
 def test_malformed_operands_are_validation_errors(build, invariant):
     with pytest.raises(ValidationError, match=invariant):
         build()
@@ -229,6 +231,34 @@ def test_construction_symmetrizes_once(build, monkeypatch):
     monkeypatch.setattr(seqprod.linalg, "hermitize", counted)
     build(np.array([[0.5, 0.1j], [-0.1j, 0.5]]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build, items", [
+    (lambda a, b: Effect(a.matrix[0]), 1),
+    (lambda a, b: Projection(np.diag([1.0, 0.0, 1.0])), 1),
+    (lambda a, b: DensityOperator(np.diag([0.2, 0.3, 0.5])), 1),
+    (lambda a, b: seqprod.effects._effect_stack(a.matrix), 5),
+    (lambda a, b: phased_product(a, b, 1.0), 5),
+    (lambda a, b: luders_product(a, b), 5),
+], ids=["Effect", "Projection", "DensityOperator", "stack", "phased_product", "luders_product"])
+def test_one_symmetrization_and_one_eigensolve_per_construction(build, items, monkeypatch):
+    # every effect is built by one constructor: one hermitize and one
+    # hermitian_eig call, a stack's on the whole stack (n, d, d)
+    rng = np.random.default_rng(8)
+    a = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+    b = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+    calls = []
+
+    def counted(fn):
+        def call(matrix):
+            calls.append((fn.__name__, math.prod(np.shape(matrix)[:-2])))
+            return fn(matrix)
+        return call
+
+    for fn in (hermitize, hermitian_eig):
+        monkeypatch.setattr(seqprod.effects, fn.__name__, counted(fn))
+    build(a, b)
+    assert calls == [("hermitize", items), ("hermitian_eig", items)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +666,12 @@ def test_one_failing_item_fails_the_stack_with_the_single_effect_error():
     assert str(stacked.value) == str(single.value)
     with pytest.raises(ValidationError, match="escapes"):
         seqprod.effects._effect_stack(np.stack([good[0].matrix, bad, good[2].matrix]))
+    nan = np.array([[np.nan, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValidationError) as single:
+        Effect(nan)
+    with pytest.raises(ValidationError) as stacked:
+        seqprod.effects._effect_stack(np.stack([good[0].matrix, nan, good[2].matrix]))
+    assert str(stacked.value) == str(single.value)
     # 1e-9 lies above the support cutoff, and t·ln 1e-9 overflows at t = 1e307
     tiny = Effect.from_eigensystem(np.array([1e-9, 0.5]), haar_unitary(2, rng))
     stack = seqprod.effects._EffectStack.of([good[0], tiny])

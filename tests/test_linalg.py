@@ -72,13 +72,20 @@ def test_eig_rejects_bad_shapes():
 
 
 @pytest.mark.parametrize("matrix, message", [
-    (np.zeros((2, 3)), "expected a square matrix"),
+    (np.zeros((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
     (np.zeros((0, 0)), "matrices must have dimension >= 1"),
     (np.array([[np.nan, 0], [0, 1]]), "matrix contains NaN or Inf entries"),
-], ids=["non-square", "empty", "nan"])
+    # a stack (n, d, d) is checked as a whole, with a single matrix's messages
+    (np.zeros((2, 2, 3)), r"expected a square matrix, got shape \(2, 2, 3\)"),
+    (np.zeros((2, 0, 0)), "matrices must have dimension >= 1"),
+    (np.stack([np.eye(2), [[np.nan, 0], [0, 1]]]), "matrix contains NaN or Inf entries"),
+    (np.zeros((2, 2, 2, 2)), r"expected a square matrix, got shape \(2, 2, 2, 2\)"),
+], ids=["non-square", "empty", "nan", "stack-non-square", "stack-empty", "stack-nan",
+        "stack-of-stacks"])
 def test_invalid_matrix_is_a_validation_error(matrix, message):
-    with pytest.raises(ValidationError, match=message):
-        hermitize(matrix)
+    for fn in (hermitize, hermitian_eig):
+        with pytest.raises(ValidationError, match=message):
+            fn(matrix)
 
 
 def test_every_invalid_input_error_is_one_validation_error():
