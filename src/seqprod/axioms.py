@@ -14,8 +14,8 @@ plain function ``gen_*(rng, dim)`` of a numpy Generator and an integer dim >= 1.
 Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.  Attempt i of a
 check seeded ``seed`` draws on ``np.random.default_rng((seed, i))``, built
-bit for bit from seed words that numpy's SeedSequence hash gives for a chunk
-of consecutive indices in one vectorized pass (``_trial_rng``).  Each check is a
+bit for bit as a PCG64 on the words of numpy's ``SeedSequence((seed, i))``,
+cached per (seed, i) (``_trial_rng``).  Each check is a
 draw, which makes a trial's RNG calls on its own stream, and an evaluation,
 which builds the derived operands and asks for products in steps, each step
 a set of products that depend only on earlier steps.  Drawn effects have
@@ -40,7 +40,6 @@ keeps the nodes apart.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import numbers
@@ -267,85 +266,36 @@ class CheckReport:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    """``np.random.default_rng((seed, index))``, bit for bit: a PCG64 seeded
-    with the four words its ``SeedSequence((seed, index))`` generates, read
-    from the cached chunk of ``_stream_words`` that holds index rather than
-    hashed per call.  Every trial stream is made here, one per attempt."""
-    chunk, row = divmod(index, _STREAM_CHUNK)
-    return np.random.Generator(np.random.PCG64(_StreamSeed(_stream_words(seed, chunk)[row])))
+    """``np.random.default_rng((seed, index))``, bit for bit: a PCG64 on the
+    cached words of numpy's ``SeedSequence((seed, index))``.  Every trial
+    stream is made here, one per attempt."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(_stream_words(seed, index))))
 
 
-# Consecutive indices whose seed words are made in one pass.  A power of two
-# <= 2**32, so a chunk never straddles a multiple of 2**32: all its indices
-# have the same number of 32-bit words.
-_STREAM_CHUNK = 256
-_MASK32 = 0xFFFFFFFF
-# numpy's SeedSequence hash constants (after O'Neill's seed_seq), pool size 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+@functools.lru_cache(maxsize=8192)  # a 1000-trial suite's six checks
+def _stream_words(seed: int, index: int) -> np.ndarray:
+    """A stream's PCG64 seed words, shared by the suites at one seed (the CLI's ``--t``)."""
+    return np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
 
 
 class _StreamSeed:
-    """A seed sequence that gives PCG64 its four precomputed uint64 words.
-    ``_stream_words`` registers it as a numpy ``ISeedSequence`` before the
-    first is made; a base class would import numpy.random with seqprod."""
+    """A seed sequence that gives PCG64 four precomputed uint64 words.  Each registers
+    the class as a numpy ``ISeedSequence``; a base class would load numpy.random at import."""
 
     def __init__(self, words: np.ndarray):
+        np.random.bit_generator.ISeedSequence.register(_StreamSeed)
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
 
 
-def _words32(n: int) -> list[int]:
-    """The 32-bit words of n >= 0, least significant first; none for 0."""
-    return [n >> shift & _MASK32 for shift in range(0, n.bit_length(), 32)]
-
-
-def _seed_hash(values: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
-    """numpy's SeedSequence hash of the rows of ``values`` in turn, the
-    constant ``hash_const`` times ``mult`` after each row: the hashed rows
-    and the constant after the last."""
-    consts = list(accumulate(range(len(values)), lambda c, _: c * mult & _MASK32,
-                             initial=hash_const))
-    c = np.array(consts, dtype=np.uint32)[:, None]
-    values = (values ^ c[:-1]) * c[1:]
-    return values ^ values >> 16, consts[-1]
-
-
-def _seed_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's SeedSequence mix of pool words x with hashed words y."""
-    value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return value ^ value >> 16
-
-
-@functools.lru_cache(maxsize=32)
-def _stream_words(seed: int, chunk: int) -> np.ndarray:
-    """Row k is ``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for
-    i = chunk * _STREAM_CHUNK + k, as numpy computes it, on uint32 rows over
-    the whole chunk: the entropy words of seed then of i (0 is one word),
-    padded with zeros to the pool size 4, hashed into the pool and mixed;
-    the words past the pool mixed in after; then 8 words hashed from the
-    pool, read as 4 little-endian uint64."""
-    np.random.bit_generator.ISeedSequence.register(_StreamSeed)
-    first = chunk * _STREAM_CHUNK
-    head = _words32(seed) or [0]
-    words = head + [first & _MASK32] + _words32(first >> 32)
-    entropy = np.zeros((max(len(words), 4), _STREAM_CHUNK), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(head)] += np.arange(_STREAM_CHUNK, dtype=np.uint32)
-    pool, hash_const = _seed_hash(entropy[:4], _INIT_A, _MULT_A)
-    for src in range(4):
-        # pool[src] is hashed once for each other pool word, in order
-        dst = [k for k in range(4) if k != src]
-        hashed, hash_const = _seed_hash(np.broadcast_to(pool[src], (3, _STREAM_CHUNK)),
-                                        hash_const, _MULT_A)
-        pool[dst] = _seed_mix(pool[dst], hashed)
-    for word in entropy[4:]:
-        hashed, hash_const = _seed_hash(np.broadcast_to(word, pool.shape), hash_const, _MULT_A)
-        pool = _seed_mix(pool, hashed)
-    state, _ = _seed_hash(np.concatenate([pool, pool]), _INIT_B, _MULT_B)
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+def _stream_copy(rng: np.random.Generator) -> np.random.Generator:
+    """A copy that continues a PCG64 stream bit for bit, made without the
+    fresh OS-seeded PCG64 of numpy's deep-copy path."""
+    copied = np.random.Generator(np.random.PCG64(_StreamSeed(np.zeros(4, np.uint64))))
+    copied.bit_generator.state = rng.bit_generator.state
+    return copied
 
 
 def _doc(effect: Effect) -> dict:
@@ -835,7 +785,7 @@ def _noncommuting_pairs(a, b, rngs, comm_floor):
         return a, b, reached
     a, b, dim = list(a), list(b), a.dim
     for k in [k for k, hit in enumerate(reached) if not hit]:
-        rng, tried = copy.deepcopy(rngs[k]), 0
+        rng, tried = _stream_copy(rngs[k]), 0
         while tried < 199 and not reached[k]:
             n = min(tried + 1, 199 - tried, max(1, STACK_ENTRIES // (2 * dim * dim)))
             draws = [_draw_generic(rng, dim) for _ in range(2 * n)]

@@ -1,4 +1,3 @@
-import copy
 import functools
 import inspect
 import math
@@ -531,9 +530,6 @@ class _NaNUniform:
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def __deepcopy__(self, memo):
-        return type(self)(copy.deepcopy(self._rng, memo))
-
     def uniform(self, *args, **kwargs):
         out = np.array(self._rng.uniform(*args, **kwargs), dtype=float)
         out.flat[0] = np.nan
@@ -621,6 +617,10 @@ def test_a_raising_converse_block_redraws_the_same_pairs(monkeypatch):
         return _TinyUniform(original(seed, i)) if i == 3 else original(seed, i)
 
     monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
+    # trial 3's redraws run on a copy of its wrapped stream, wrapped alike
+    stream_copy = seqprod.axioms._stream_copy
+    monkeypatch.setattr(seqprod.axioms, "_stream_copy", lambda rng: (
+        type(rng)(stream_copy(rng._rng)) if isinstance(rng, _NaNUniform) else stream_copy(rng)))
     put, floor = phased(1e307), 0.05
     checks, gaps = _ref_trials(put, comm_floor=floor)
     (_axiom, comm), = [check for check in checks if check[0] == "commutativity"]
@@ -1228,6 +1228,27 @@ def test_a_resonant_spectrum_gives_the_luders_product_for_every_b():
     for t in (0.5, 1.0, 3.0):
         assert max(gaps(t, math.exp(-2.0 * math.pi / t))) <= 1e-14
     assert max(gaps(3.0, 1.01 * math.exp(-2.0 * math.pi / 3.0))) > 1e-3
+
+
+def test_a_search_over_resonant_a_reports_no_witness(monkeypatch):
+    # the search's draws with each pair's A given eigenvalues x·e^{−2π/t} and
+    # x, t = 3 where the phase is largest: every pair's products agree, so a
+    # correct kernel finds nothing and its best gap is rounding error
+    t, draw, drawn = 3.0, seqprod.axioms._draw_generic, []
+
+    def resonant(rng, dim):
+        pair = draw(rng, dim)
+        drawn.append(pair)
+        if len(drawn) % 2 == 0:  # the pair's B
+            return pair
+        x = pair.spectra[0].max()
+        return pair._replace(spectra=(np.array([x * math.exp(-2.0 * math.pi / t), x]),))
+
+    monkeypatch.setattr(seqprod.axioms, "_draw_generic", resonant)
+    report = find_nonuniqueness_witness(trials=100, dims=(2,), t_values=(t,), seed=4)
+    assert len(drawn) == 200
+    assert not report["found"] and report["witness"] is None
+    assert report["gap"] <= 1e-14, report["gap"]
 
 
 def _assert_decided_on_the_reported_gap(threshold, **search):

@@ -27,10 +27,9 @@ def numpy_stream(seed, i):
 
 # 1 to 5 entropy words: 0 is one word, 2**32 - 1 the largest one-word seed
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**128 + 5)
-CHUNK = seqprod.axioms._STREAM_CHUNK
-# both sides of the first chunk edges and of the step to two index words
-INDICES = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
-           2**32 - 1, 2**32, 2**32 + CHUNK - 1, 2**32 + CHUNK, 2**33)
+# 2**32 - 1 is the largest one-word index; from 2**32 on, an index is two words
+INDICES = (0, 1, 255, 256, 257, 511, 512,
+           2**32 - 1, 2**32, 2**32 + 255, 2**32 + 256, 2**33)
 
 DRAWS = {
     "standard_normal": lambda rng: rng.standard_normal(7),
@@ -62,14 +61,18 @@ def test_random_seeds_and_indices_give_numpys_streams():
 
 @pytest.mark.parametrize("seed, i", [(3, 17), (2**64 + 3, 2**32 + 5)])
 def test_a_deep_copied_stream_continues_as_the_original(seed, i):
-    # the converse redraws draw from deep copies of a partly consumed stream
-    stream, expected = seqprod.axioms._trial_rng(seed, i), numpy_stream(seed, i)
-    assert np.array_equal(stream.standard_normal(5), expected.standard_normal(5))
-    copied = copy.deepcopy(stream)
-    assert copied.bit_generator.state == expected.bit_generator.state
-    for draw in DRAWS.values():
-        assert np.array_equal(draw(copied), draw(copy.deepcopy(expected)))
-        assert np.array_equal(draw(stream), draw(expected))
+    # the converse redraws draw from copies of a partly consumed stream, the
+    # driver's own or, where a test swaps it in, numpy's default_rng; a copy
+    # shares no state with its original
+    for make in (seqprod.axioms._trial_rng, numpy_stream):
+        stream, expected = make(seed, i), numpy_stream(seed, i)
+        assert np.array_equal(stream.standard_normal(5), expected.standard_normal(5))
+        copied = seqprod.axioms._stream_copy(stream)
+        assert copied.bit_generator is not stream.bit_generator
+        assert copied.bit_generator.state == expected.bit_generator.state
+        for draw in DRAWS.values():
+            assert np.array_equal(draw(copied), draw(copy.deepcopy(expected)))
+            assert np.array_equal(draw(stream), draw(expected))
 
 
 REPORT_RUNS = {
@@ -116,3 +119,28 @@ def test_each_attempt_and_each_scanned_pair_takes_one_stream(monkeypatch):
     calls.clear()
     find_nonuniqueness_witness(trials=30, dims=(2, 3), seed=5)
     assert calls == [(5, i) for i in range(30)]
+
+
+def test_suites_at_one_seed_share_their_cached_streams(monkeypatch):
+    # each attempt's SeedSequence is made once; a second product at the same
+    # seed, as the CLI runs its --t values, finds every stream cached
+    made, attempts = [], []
+    seed_sequence, report = np.random.SeedSequence, seqprod.axioms._Tally.report
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    def tallied(tally):
+        attempts.append(tally.attempts)
+        return report(tally)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    monkeypatch.setattr(seqprod.axioms._Tally, "report", tallied)
+    seqprod.axioms._stream_words.cache_clear()
+    run_axiom_suite(luders_product, trials=10, dims=(2, 3), seed=11)
+    assert len(attempts) == 6
+    assert len(made) == sum(attempts) > 0
+    made.clear()
+    run_axiom_suite(functools.partial(phased_product, t=1.0), trials=10, dims=(2, 3), seed=11)
+    assert made == []
