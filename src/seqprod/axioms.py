@@ -15,7 +15,8 @@ Trials are independent given per-trial derived seeds, so identical
 configuration yields identical reports, witnesses included.  Attempt i of a
 check seeded ``seed`` draws on ``np.random.default_rng((seed, i))``, built
 bit for bit as a PCG64 on the words of numpy's ``SeedSequence((seed, i))``,
-cached per (seed, i) (``_trial_rng``).  Each check is a
+cached per (seed, i) (``_trial_rng``); pair i of the witness search draws on
+the same stream, its words not cached (``_scan_rng``).  Each check is a
 draw, which makes a trial's RNG calls on its own stream, and an evaluation,
 which builds the derived operands and asks for products in steps, each step
 a set of products that depend only on earlier steps.  Drawn effects have
@@ -28,9 +29,10 @@ library's products, ``luders_product`` and ``phased_product`` with t bound
 by keyword (as the CLI binds it), take stacks, so each step costs one
 product call per dim over all checks; any other product is called once per
 item of that step, on single effects.  A check run alone is the same driver
-with one check.  If a dim's build, an evaluation or a product call raises,
-each trial of that dim is evaluated again alone, so each failure is its
-own trial's, with the message a single-effect run gives.
+with one check.  If a dim's build raises, each trial of that dim is
+evaluated again alone, and if an evaluation or a product call raises, each
+trial of the evaluations it interrupted, so each failure is its own
+trial's, with the message a single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -269,13 +271,24 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     """``np.random.default_rng((seed, index))``, bit for bit: a PCG64 on the
     cached words of numpy's ``SeedSequence((seed, index))``.  Every trial
     stream is made here, one per attempt."""
-    return np.random.Generator(np.random.PCG64(_StreamSeed(_stream_words(seed, index))))
+    return _stream(_stream_words(seed, index))
+
+
+def _scan_rng(seed: int, index: int) -> np.random.Generator:
+    """The stream ``_trial_rng`` makes, on words that are not cached: the
+    witness search takes one per scanned pair and never reuses one."""
+    return _stream(_stream_words.__wrapped__(seed, index))
 
 
 @functools.lru_cache(maxsize=8192)  # a 1000-trial suite's six checks
 def _stream_words(seed: int, index: int) -> np.ndarray:
     """A stream's PCG64 seed words, shared by the suites at one seed (the CLI's ``--t``)."""
     return np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """A Generator on a PCG64 seeded with these four uint64 words."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
 class _StreamSeed:
@@ -293,7 +306,7 @@ class _StreamSeed:
 def _stream_copy(rng: np.random.Generator) -> np.random.Generator:
     """A copy that continues a PCG64 stream bit for bit, made without the
     fresh OS-seeded PCG64 of numpy's deep-copy path."""
-    copied = np.random.Generator(np.random.PCG64(_StreamSeed(np.zeros(4, np.uint64))))
+    copied = _stream(np.zeros(4, np.uint64))
     copied.bit_generator.state = rng.bit_generator.state
     return copied
 
@@ -416,8 +429,8 @@ def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
     Each round draws the attempts every unfinished check still needs, check
     by check in trial order, and evaluates them together (see
     ``_attempts``): all effects of one dim are built in one stacked pass,
-    and each step of all their evaluations is one ``_products`` call on
-    the joined requests, whatever the product.  A check run alone is the
+    and their evaluations run side by side, in rounds of steps (see
+    ``_jointly``).  A check run alone is the
     table of one row.  Any exception raised in a trial, by its draw, by
     building its effects, by the product under test or by a result it
     returned, counts as a failure of that trial and never aborts the run.
@@ -517,28 +530,44 @@ def _products(put, steps: list[tuple]) -> list[tuple]:
     return [tuple(islice(parts, len(step))) for step in steps]
 
 
-def _jointly(rows: list[tuple], put) -> list:
-    """The outcomes of the evaluations ``check.evaluate(*operands)`` of the
-    rows ``(check, operands)``, run side by side: a round of their steps is
-    one ``_products`` call on all their requests.  An exception raised by
-    an evaluation or by the call propagates."""
+def _jointly(rows: list[tuple], put):
+    """Yield ``(g, result)`` for each row ``(check, operands)``, g its index,
+    once its evaluation ``check.evaluate(*operands)`` ends: the outcomes it
+    returned, or the exception that interrupted it.
+
+    The evaluations run side by side, in rounds of steps.  A library product
+    makes a round's products in one ``_products`` call on all its requests,
+    so an exception that call raises interrupts every evaluation of the
+    round; any other product is called for one evaluation's step at a time,
+    and an exception interrupts that evaluation alone, as does an exception
+    an evaluation raises itself.
+    """
     evaluations = [check.evaluate(*operands) for check, operands in rows]
-    steps, done = {}, [None] * len(rows)
+    steps = {}
 
     def advance(g, products):
         try:
             steps[g] = evaluations[g].send(products)
         except StopIteration as stop:
-            done[g] = stop.value
+            return stop.value
+        except Exception as exc:
+            return exc
+        return None
 
-    for g in range(len(rows)):
-        advance(g, None)
-    while steps:
-        current = list(steps.items())
+    sends = [(g, None) for g in range(len(rows))]
+    while sends:
+        for g, products in sends:
+            if (result := advance(g, products)) is not None:
+                yield g, result
+        current, sends = list(steps.items()), []
         steps.clear()
-        for (g, _step), products in zip(current, _products(put, [step for _g, step in current])):
-            advance(g, products)
-    return done
+        for call in [current] if _takes_stacks(put) else [[request] for request in current]:
+            try:
+                products = _products(put, [step for _g, step in call])
+            except Exception as exc:
+                yield from ((g, exc) for g, _step in call)
+            else:
+                sends += [(g, made) for (g, _step), made in zip(call, products)]
 
 
 def _evaluated(block, put):
@@ -547,13 +576,12 @@ def _evaluated(block, put):
 
     A check's trials of one dim and one layout of drawn values form a group.
     The draws of all groups of one dim are built in one stacked pass, and
-    the groups are evaluated side by side, one ``_products`` call per dim
-    and step (see ``_jointly``).  If the build, an evaluation or a product
-    call raises, each trial of that dim is evaluated alone: on its items of
-    the stacked build, or on a build of its own draw when the stacked build
-    raised.  A trial that raises alone takes that exception as its outcome,
-    so each error is charged to the trial that caused it, with the message
-    a single-effect run gives.
+    the groups are evaluated side by side (see ``_jointly``).  Each trial of
+    a group whose evaluation was interrupted, or of every group of the dim
+    when the stacked build raised, is evaluated again alone: on its items of
+    the stacked build, or on a build of its own draw.  A trial that raises
+    alone takes that exception as its outcome, so each error is charged to
+    the trial that caused it, with the message a single-effect run gives.
     """
     by_dim, outcomes = {}, {}
     for pos, (tally, _i, dim, drawn) in enumerate(block):
@@ -563,22 +591,31 @@ def _evaluated(block, put):
         else:
             outcomes[pos] = drawn
     for groups in by_dim.values():
-        built = None
+        groups = list(groups.items())
         try:
-            built = _operands([[block[pos][3] for pos in group] for group in groups.values()])
-            done = _jointly([(tally.check, operands)
-                             for (tally, _layout), operands in zip(groups, built)], put)
-            for group, group_outcomes in zip(groups.values(), done):
-                outcomes.update(zip(group, group_outcomes))
+            built = _operands([[block[pos][3] for pos in group] for _key, group in groups])
         except Exception:
-            for g, ((tally, _layout), group) in enumerate(groups.items()):
-                for k, pos in enumerate(group):
-                    try:
-                        operands = ([x[k:k + 1] for x in built[g]] if built is not None
-                                    else _operands([[block[pos][3]]])[0])
-                        (outcomes[pos],), = _jointly([(tally.check, operands)], put)
-                    except Exception as exc:
-                        outcomes[pos] = exc
+            built, redo = None, range(len(groups))
+        else:
+            redo = []
+            rows = [(tally.check, operands)
+                    for ((tally, _layout), _group), operands in zip(groups, built)]
+            for g, result in _jointly(rows, put):
+                if isinstance(result, Exception):
+                    redo.append(g)
+                else:
+                    outcomes.update(zip(groups[g][1], result))
+        for g in redo:
+            (tally, _layout), group = groups[g]
+            for k, pos in enumerate(group):
+                try:
+                    operands = ([x[k:k + 1] for x in built[g]] if built is not None
+                                else _operands([[block[pos][3]]])[0])
+                except Exception as exc:
+                    outcomes[pos] = exc
+                    continue
+                (_g, result), = _jointly([(tally.check, operands)], put)
+                outcomes[pos] = result if isinstance(result, Exception) else result[0]
     for pos, (tally, i, dim, _drawn) in enumerate(block):
         yield tally, i, dim, outcomes[pos]
 
@@ -920,7 +957,7 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
 
     for i in range(trials):
         dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
-        rng = _trial_rng(seed, i)
+        rng = _scan_rng(seed, i)
         drawn = ((_draw_commuting_pair(rng, dim),) if commuting_only
                  else (_draw_generic(rng, dim), _draw_generic(rng, dim)))
         if (dim, t) in blocks and 2 * dim * dim * (len(blocks[dim, t]) + 1) > STACK_ENTRIES:

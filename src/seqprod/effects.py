@@ -19,17 +19,20 @@ A^{1/2} = f_{1/2}(A) and the support projection f_0(A).
 Eigenvalues at or below the support cutoff are treated as exactly zero.  The
 scalar phase e^{it ln u} oscillates without limit as u → 0, so a hard cutoff
 is the only stable choice; the product is then exact on the support of A and
-annihilates the kernel block.  The cutoff is applied once, when an effect is
-built: its decomposition holds exact zeros there (its matrix is unchanged).
+annihilates the kernel block.  The cutoff is applied once, to an effect's
+decomposition, which holds exact zeros there (its matrix is unchanged).
 
 The kernel also runs on stacks of effects of one dim (``_EffectStack``), as
 the axiom checks evaluate many trials at once: f_z, ``apply``,
 :func:`kraus_operator` and the products act item by item, each item's result
-bit for bit the single-effect one.  Effects have one constructor from
-matrices, ``_effect_stack``, one :func:`hermitize` and one
-:func:`hermitian_eig` on a whole stack; ``Effect(matrix)``, ``Projection``
-and ``DensityOperator`` are its stacks of one.  Its checks read the whole
-stack, so one failing item fails the stack.
+bit for bit the single-effect one.  Effects from matrices are decomposed by
+one :func:`hermitian_eig` on a whole stack (``_decomposed``), whose checks
+read the whole stack, so one failing item fails the stack.
+``Effect(matrix)``, ``Projection`` and ``DensityOperator`` are decomposed
+when built, as stacks of one.  A stack built inside the library, a stacked
+product's output or a check's derived operand (``_effect_stack``), has its
+spectrum checked when it is built, and is decomposed and snapped when first
+read: most are read as matrices alone.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ IDEMPOTENCE_TOL = 1e-11  # admissible ‖P² − P‖_F of a projection, its one
 # Admissible excursion outside [0, 1] of the argument of f_z and of the
 # spectrum of the 2x2 operand of closed_form_2d.
 DOMAIN_SLACK = 1e-12
-# Eigenvalues <= SUPPORT_CUTOFF become exactly 0 when an effect is built; a
+# Eigenvalues <= SUPPORT_CUTOFF become exactly 0 in an effect's decomposition; a
 # validated effect has ‖A‖_op <= 1 + SPECTRUM_TOL, so it needs no norm scaling.
 SUPPORT_CUTOFF = 1e-10
 
@@ -164,21 +167,50 @@ def _effects_from_eigensystems(w, bases, basis=...):
     v = np.take_along_axis(each, order[..., None, :], -1)
     m = hermitize((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))  # each V·diag(w)·V†
     snapped = _snapped(w, float(w[..., 0].min()), float(w[..., -1].max()))
-    return (_EffectStack if w.ndim == 2 else Effect._built)(m, snapped, v)
+    if w.ndim == 1:
+        return Effect._built(m, snapped, v)
+    return _EffectStack(m, SpectralDecomposition(snapped, v))
 
 
-def _effect_stack(matrices, top: float = 1.0) -> "_EffectStack":
-    """The effects with matrices (n, d, d), a stack: each item hermitized,
-    decomposed, its spectrum checked against [0, top] and snapped.  This is
-    the one effect constructor: ``Effect(matrix)`` is its stack of one, so
-    each item is bit for bit ``Effect(matrices[k])``.  Any item failing a
-    check fails the whole stack with the error a stack of one raises."""
-    m = hermitize(matrices)
+def _decomposed(m: np.ndarray, top: float = 1.0) -> SpectralDecomposition:
+    """The decomposition of the hermitized matrices m (n, d, d): one
+    hermitian_eig on the stack, every spectrum checked against [0, top] and
+    snapped.  Any item failing a check fails the stack with the error a stack
+    of one raises."""
     # hermitian_eig checks the entries again: hermitizing may overflow
     dec = hermitian_eig(m)
     w = dec.eigenvalues
-    return _EffectStack(m, _snapped(w, float(w[:, 0].min()), float(w[:, -1].max()), top),
-                        dec.eigenvectors)
+    return SpectralDecomposition(
+        _snapped(w, float(w[:, 0].min()), float(w[:, -1].max()), top), dec.eigenvectors)
+
+
+def _effect_stack(matrices) -> "_EffectStack":
+    """The effects with matrices (n, d, d), a stack built inside the library
+    (the products' outputs and the checks' derived operands): each item
+    hermitized and its entries checked, and every spectrum certified inside
+    [0, 1] by one Cholesky factorization of the stack
+    [M + SPECTRUM_TOL·I ; (1 + SPECTRUM_TOL)·I − M].  Its decomposition is
+    pending until read (see :class:`_EffectStack`), each item's then bit for
+    bit ``Effect(matrices[k])``'s.  A stack the certificate fails is
+    decomposed at once, so a spectrum escaping [0, 1] fails it here with the
+    error a stack of one raises."""
+    m = _as_square(hermitize(matrices), (3,))  # hermitizing may overflow
+    eye = np.eye(m.shape[-1])
+    try:
+        np.linalg.cholesky(np.concatenate([m + SPECTRUM_TOL * eye,
+                                           (1.0 + SPECTRUM_TOL) * eye - m]))
+    except np.linalg.LinAlgError:
+        return _EffectStack(m, _decomposed(m))
+    return _EffectStack(m)
+
+
+def _decomposed_effect(matrix, top: float = 1.0) -> tuple[np.ndarray, SpectralDecomposition]:
+    """The matrix and decomposition of the effect with this matrix, hermitized
+    and decomposed at once as a stack of one, its spectrum checked against
+    [0, top]."""
+    m = hermitize(_as_square(matrix)[None])
+    dec = _decomposed(m, top)
+    return m[0], SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
 
 
 class Effect:
@@ -194,8 +226,7 @@ class Effect:
     decomposition: SpectralDecomposition
 
     def __init__(self, matrix):
-        effect, = _effect_stack(_as_square(matrix)[None])
-        self.matrix, self.decomposition = effect.matrix, effect.decomposition
+        self.matrix, self.decomposition = _decomposed_effect(matrix)
 
     @staticmethod
     def _built(m, w, v) -> "Effect":
@@ -247,8 +278,7 @@ class DensityOperator(Effect):
     def __init__(self, matrix, *, trace_tol: float = 1e-10):
         trace_tol = require_tolerance("trace_tol", trace_tol)
         # a positive matrix's spectrum is bounded by its trace, here 1 + trace_tol
-        state, = _effect_stack(_as_square(matrix)[None], 1.0 + trace_tol)
-        self.matrix, self.decomposition = state.matrix, state.decomposition
+        self.matrix, self.decomposition = _decomposed_effect(matrix, 1.0 + trace_tol)
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > trace_tol:
             raise ValidationError(f"density operator trace {tr!r} is not 1")
@@ -259,25 +289,42 @@ class _EffectStack:
     ``decomposition`` with eigenvalues (n, d) and eigenvectors (n, d, d).
     Item k holds what a single :class:`Effect` holds, and the products
     compute each item bit for bit as they compute a single effect's.
-    Iterating gives the items as effects, which share the stacks' memory."""
+    Iterating gives the items as effects, which share the stacks' memory.
 
-    __slots__ = ("matrix", "decomposition")
+    The spectrum is checked when a stack is built, and decomposed and
+    snapped when first read.  A stack built from matrices holds no
+    decomposition until then (see :func:`_effect_stack`); read, it is
+    ``_decomposed`` of the matrix, and a slice decomposes only its own items.
+    A stack joined by ``of`` holds its parts, and its decomposition joins
+    theirs, so a slice of it never decomposes again what a part holds.
+    """
 
-    def __init__(self, matrix, eigenvalues, eigenvectors):
-        self.matrix = matrix
-        self.decomposition = SpectralDecomposition(eigenvalues, eigenvectors)
+    __slots__ = ("matrix", "_decomposition", "_parts")
+
+    def __init__(self, matrix, decomposition=None, parts=None):
+        self.matrix, self._decomposition, self._parts = matrix, decomposition, parts
 
     @staticmethod
     def of(parts) -> "_EffectStack":
         """The items of these effects, or of these stacks of effects, all of
-        one dim, in one stack, in order."""
+        one dim, in one stack, in order; no part is decomposed to join it."""
         if len(parts) == 1 and isinstance(parts[0], _EffectStack):
             return parts[0]
         join = np.concatenate if isinstance(parts[0], _EffectStack) else np.stack
-        decs = [x.decomposition for x in parts]
-        return _EffectStack(join([x.matrix for x in parts]),
-                            join([dec.eigenvalues for dec in decs]),
-                            join([dec.eigenvectors for dec in decs]))
+        return _EffectStack(join([x.matrix for x in parts]), parts=parts)
+
+    @property
+    def decomposition(self) -> SpectralDecomposition:
+        if self._decomposition is None:
+            if self._parts is None:
+                self._decomposition = _decomposed(self.matrix)
+            else:
+                join = np.concatenate if isinstance(self._parts[0], _EffectStack) else np.stack
+                decs = [x.decomposition for x in self._parts]
+                self._decomposition = SpectralDecomposition(
+                    join([dec.eigenvalues for dec in decs]),
+                    join([dec.eigenvectors for dec in decs]))
+        return self._decomposition
 
     @property
     def dim(self) -> int:
@@ -287,8 +334,11 @@ class _EffectStack:
         return len(self.matrix)
 
     def __getitem__(self, items: slice) -> "_EffectStack":
+        if self._decomposition is None and self._parts is None:
+            return _EffectStack(self.matrix[items])
         dec = self.decomposition
-        return _EffectStack(self.matrix[items], dec.eigenvalues[items], dec.eigenvectors[items])
+        return _EffectStack(self.matrix[items], SpectralDecomposition(
+            dec.eigenvalues[items], dec.eigenvectors[items]))
 
     def __iter__(self):
         dec = self.decomposition

@@ -762,6 +762,89 @@ def test_a_raising_joint_step_charges_the_error_to_its_own_trial(monkeypatch):
     assert sorted(sizes) == [1] * 54 + [5] + [10] * 5
 
 
+class _SmallUniform(_NaNUniform):
+    """A Generator whose uniform draws put 3e-5 first: t·ln 3e-5 is finite at
+    t = 1e307, and t·ln 9e-10 overflows."""
+
+    def uniform(self, *args, **kwargs):
+        out = np.array(self._rng.uniform(*args, **kwargs), dtype=float)
+        out.flat[0] = 3e-5
+        return out
+
+
+def test_a_raising_later_round_redoes_only_the_evaluations_it_interrupted(monkeypatch):
+    # S4's trial 5 (seed 4 + 3) draws A and B with a shared eigenvalue 3e-5:
+    # its first two rounds pass, and its third, (A∘B)∘C alone, overflows on
+    # A∘B's eigenvalue 9e-10; the dim-2 groups that finished in the earlier
+    # rounds keep their outcomes, and S4's dim-2 trials alone are redone
+    original = seqprod.axioms._trial_rng
+
+    def trial_rng(seed, i):
+        return _SmallUniform(original(seed, i)) if (seed, i) == (7, 5) else original(seed, i)
+
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
+    put = phased(1e307)
+    alone = [check(put, trials=20, dims=(2, 3), seed=4 + k)
+             for k, check in enumerate(ALL_CHECKS[:-1])]
+    sizes = []
+    samples = seqprod.axioms._samples
+
+    def recorded(d, **fields):
+        sizes.append(len(d))
+        return samples(d, **fields)
+
+    monkeypatch.setattr(seqprod.axioms, "_samples", recorded)
+    reports = run_axiom_suite(put, trials=20, dims=(2, 3), seed=4)
+    assert reports == alone
+    s4 = reports[3]
+    assert s4.trials == 20
+    assert (s4.witness["trial"], s4.witness["dim"]) == (5, 2)
+    assert "overflows the phase" in s4.witness["error"]
+    # S4's nine other dim-2 trials one at a time; every other group, and
+    # S4's dim-3 one, in one evaluation
+    assert sorted(sizes) == [1] * 9 + [5] * 2 + [10] * 9
+
+
+def test_a_raising_user_product_redoes_only_the_evaluations_it_interrupted():
+    # the product raises on S2's requests, I∘A, alone: each other request is
+    # made once, and S2's are made once per dim jointly, where the first one
+    # raises, and then once per trial, each failing its own trial
+    ident = {2: np.eye(2), 3: np.eye(3)}
+    calls = {"identity": 0, "other": 0}
+
+    def raising_on_identity(a, b):
+        if np.array_equal(a.matrix, ident[a.dim]):
+            calls["identity"] += 1
+            raise ArithmeticError("no product with the identity")
+        calls["other"] += 1
+        return luders_product(a, b)
+
+    reports = run_axiom_suite(raising_on_identity, trials=10, dims=(2, 3), seed=2)
+    assert calls == {"identity": 2 + 10, "other": 10 * (3 + 2 + 6 + 5 + 2)}
+    s2 = reports[1]
+    assert (s2.trials, s2.failures) == (10, 10)
+    assert s2.witness == {"trial": 0, "dim": 2, "error": "no product with the identity"}
+    assert all(r.failures == 0 for r in reports[:1] + reports[2:])
+
+
+def test_a_suite_decomposes_only_the_stacks_it_reads(monkeypatch):
+    # a 25-trial phased suite at dims 2, 3, 4 and 6 reads five built stacks'
+    # decompositions per dim: I, I − B, A + B and the outputs A∘B of S4 and
+    # S5 that are left operands; the other outputs and derived operands are
+    # read as matrices alone
+    expected = run_axiom_suite(phased(1.0), trials=25, dims=(2, 3, 4, 6))
+    calls = []
+    eig = seqprod.effects.hermitian_eig
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return eig(matrix)
+
+    monkeypatch.setattr(seqprod.effects, "hermitian_eig", counted)
+    assert run_axiom_suite(phased(1.0), trials=25, dims=(2, 3, 4, 6)) == expected
+    assert len(calls) <= 20
+
+
 def test_a_user_product_is_called_per_item_inside_the_joint_driver(monkeypatch):
     # a product that takes no stacks runs through the same joint driver: each
     # step of a dim's groups is one call per request, on single effects

@@ -233,20 +233,9 @@ def test_construction_symmetrizes_once(build, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("build, items", [
-    (lambda a, b: Effect(a.matrix[0]), 1),
-    (lambda a, b: Projection(np.diag([1.0, 0.0, 1.0])), 1),
-    (lambda a, b: DensityOperator(np.diag([0.2, 0.3, 0.5])), 1),
-    (lambda a, b: seqprod.effects._effect_stack(a.matrix), 5),
-    (lambda a, b: phased_product(a, b, 1.0), 5),
-    (lambda a, b: luders_product(a, b), 5),
-], ids=["Effect", "Projection", "DensityOperator", "stack", "phased_product", "luders_product"])
-def test_one_symmetrization_and_one_eigensolve_per_construction(build, items, monkeypatch):
-    # every effect is built by one constructor: one hermitize and one
-    # hermitian_eig call, a stack's on the whole stack (n, d, d)
-    rng = np.random.default_rng(8)
-    a = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
-    b = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+def _counted_calls(monkeypatch, *names):
+    """A list that records (name, items) for each call of these functions of
+    ``seqprod.effects``, items the product of the argument's stack axes."""
     calls = []
 
     def counted(fn):
@@ -255,10 +244,59 @@ def test_one_symmetrization_and_one_eigensolve_per_construction(build, items, mo
             return fn(matrix)
         return call
 
-    for fn in (hermitize, hermitian_eig):
-        monkeypatch.setattr(seqprod.effects, fn.__name__, counted(fn))
-    build(a, b)
-    assert calls == [("hermitize", items), ("hermitian_eig", items)]
+    for name in names:
+        monkeypatch.setattr(seqprod.effects, name, counted(getattr(seqprod.effects, name)))
+    return calls
+
+
+@pytest.mark.parametrize("build, items, pending", [
+    (lambda a, b: Effect(a.matrix[0]), 1, False),
+    (lambda a, b: Projection(np.diag([1.0, 0.0, 1.0])), 1, False),
+    (lambda a, b: DensityOperator(np.diag([0.2, 0.3, 0.5])), 1, False),
+    (lambda a, b: seqprod.effects._effect_stack(a.matrix), 5, True),
+    (lambda a, b: phased_product(a, b, 1.0), 5, True),
+    (lambda a, b: luders_product(a, b), 5, True),
+], ids=["Effect", "Projection", "DensityOperator", "stack", "phased_product", "luders_product"])
+def test_one_symmetrization_and_one_eigensolve_per_construction(build, items, pending,
+                                                                monkeypatch):
+    # every effect is built by one hermitize call and decomposed by one
+    # hermitian_eig call, a stack's on the whole stack (n, d, d); a single
+    # effect is decomposed when built, a stack built from matrices inside
+    # the library when its decomposition is first read
+    rng = np.random.default_rng(8)
+    a = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+    b = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+    calls = _counted_calls(monkeypatch, "hermitize", "hermitian_eig")
+    built = build(a, b)
+    assert calls == [("hermitize", items)] + [("hermitian_eig", items)] * (not pending)
+    calls.clear()
+    for _ in range(2):
+        built.decomposition
+    assert calls == [("hermitian_eig", items)] * pending
+
+
+def test_a_built_stack_escaping_one_is_rejected_when_built(monkeypatch):
+    # the spectrum check is not left to the first read: a stack whose
+    # certificate fails is decomposed at once and fails with the error an
+    # eager build gives, over the whole stack's spectra
+    rng = np.random.default_rng(12)
+    good = [e.matrix for e in _mixed_effects(rng, 2, 3)]
+    m = np.stack([good[0], np.diag([1.5, 0.2]), good[2]]).astype(np.complex128)
+    w = np.linalg.eigvalsh(m)
+    message = (f"effect spectrum [{float(w[:, 0].min())!r}, {float(w[:, -1].max())!r}] "
+               f"escapes [0, 1.0] by more than 1e-10")
+    with pytest.raises(ValidationError) as eager:
+        seqprod.effects._decomposed(m)
+    assert str(eager.value) == message
+    with pytest.raises(ValidationError) as built:
+        seqprod.effects._effect_stack(m)
+    assert str(built.value) == message
+    # within SPECTRUM_TOL of [0, 1] the certificate passes, with nothing decomposed
+    calls = _counted_calls(monkeypatch, "hermitian_eig")
+    edge = seqprod.effects._effect_stack(
+        np.stack([good[0], np.diag([1.0 + 5e-11, -5e-11]), good[2]]))
+    assert calls == []
+    assert edge.decomposition.eigenvalues[1].tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +691,51 @@ def test_the_kernel_on_a_stack_is_the_single_effect_kernel_bit_for_bit(t, dim, c
     items = list(product)  # single effects on the stack's memory
     assert [type(e) for e in items] == [Effect] * count
     assert all(np.array_equal(e.matrix, product.matrix[k]) for k, e in enumerate(items))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 16])
+def test_a_pending_slice_decomposes_its_own_items_bit_for_bit(dim, monkeypatch):
+    # a product's output is sliced per request before anything reads it: a
+    # slice decomposes its own items alone, each as the whole stack does
+    # and as a single effect of its matrix does
+    rng = np.random.default_rng((dim, 31))
+    a = seqprod.effects._EffectStack.of(_mixed_effects(rng, dim, 7))
+    b = seqprod.effects._EffectStack.of(_mixed_effects(rng, dim, 7))
+    whole, sliced = phased_product(a, b, 1.0), phased_product(a, b, 1.0)
+    calls = _counted_calls(monkeypatch, "hermitian_eig")
+    part = sliced[2:5]
+    assert calls == []
+    part.decomposition
+    assert calls == [("hermitian_eig", 3)]
+    for k, item in enumerate(part):
+        _assert_same_effect(part, k, Effect(whole.matrix[k + 2]))
+        _assert_same_effect(whole, k + 2, item)
+    assert np.array_equal(part.matrix, whole.matrix[2:5])
+
+
+def test_joining_pending_stacks_decomposes_nothing_until_read(monkeypatch):
+    # the right operands of a later step join pending outputs with drawn
+    # effects: joined, nothing is decomposed; read, each pending part runs
+    # its own eigensolve and each drawn part keeps its eigensystem's bits
+    rng = np.random.default_rng(41)
+    drawn = _mixed_effects(rng, 3, 4)
+    a, b = seqprod.effects._EffectStack.of(drawn[:2]), seqprod.effects._EffectStack.of(drawn[2:])
+    out = luders_product(a, b)
+    mean = seqprod.effects._effect_stack(0.5 * (a.matrix + b.matrix))
+    calls = _counted_calls(monkeypatch, "hermitian_eig")
+    joined = seqprod.effects._EffectStack.of([out[1:], a, mean, out[:1]])
+    assert calls == []
+    assert len(joined) == 6 and joined.dim == 3
+    tail = joined[1:5]  # a slice of a joined stack reads the parts' decompositions
+    assert calls == [("hermitian_eig", 1), ("hermitian_eig", 2), ("hermitian_eig", 1)]
+    joined.decomposition
+    assert len(calls) == 3
+    expected = [Effect(out.matrix[1]), *drawn[:2], Effect(mean.matrix[0]),
+                Effect(mean.matrix[1]), Effect(out.matrix[0])]
+    for k, effect in enumerate(expected):
+        _assert_same_effect(joined, k, effect)
+    for k, effect in enumerate(expected[1:5]):
+        _assert_same_effect(tail, k, effect)
 
 
 def test_one_failing_item_fails_the_stack_with_the_single_effect_error():
