@@ -16,7 +16,7 @@ configuration yields identical reports, witnesses included.  Attempt i of a
 check seeded ``seed`` draws on ``np.random.default_rng((seed, i))``, built
 bit for bit as a PCG64 on the words of numpy's ``SeedSequence((seed, i))``,
 cached per (seed, i) (``_trial_rng``); pair i of the witness search draws on
-the same stream, its words not cached (``_scan_rng``).  Each check is a
+``np.random.default_rng((seed, i))`` itself, never cached.  Each check is a
 draw, which makes a trial's RNG calls on its own stream, and an evaluation,
 which builds the derived operands and asks for products in steps, each step
 a set of products that depend only on earlier steps.  Drawn effects have
@@ -274,12 +274,6 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return _stream(_stream_words(seed, index))
 
 
-def _scan_rng(seed: int, index: int) -> np.random.Generator:
-    """The stream ``_trial_rng`` makes, on words that are not cached: the
-    witness search takes one per scanned pair and never reuses one."""
-    return _stream(_stream_words.__wrapped__(seed, index))
-
-
 @functools.lru_cache(maxsize=8192)  # a 1000-trial suite's six checks
 def _stream_words(seed: int, index: int) -> np.ndarray:
     """A stream's PCG64 seed words, shared by the suites at one seed (the CLI's ``--t``)."""
@@ -519,12 +513,15 @@ def _operands(groups: list[list[tuple]]) -> list[list]:
 def _products(put, steps: list[tuple]) -> list[tuple]:
     """For each step, the products of its requests ``(a, b)``: a library
     product (see ``_takes_stacks``) makes them in one call on the requests
-    of all steps joined into one stack, any other product in one call per
-    item, on single effects, in request order."""
+    of all steps joined into one stack, the right operands as matrices
+    alone, any other product in one call per item, on single effects, in
+    request order."""
     if not _takes_stacks(put):
         return [tuple(_Outputs(map(put, a, b)) for a, b in step) for step in steps]
     pairs = [pair for step in steps for pair in step]
-    out = put(_EffectStack.of([a for a, _b in pairs]), _EffectStack.of([b for _a, b in pairs]))
+    # a library product reads its right operand's matrix alone (K B K†)
+    right = _EffectStack(np.concatenate([b.matrix for _a, b in pairs]))
+    out = put(_EffectStack.of([a for a, _b in pairs]), right)
     ends = accumulate(len(a) for a, _b in pairs)
     parts = iter([out[end - len(a):end] for (a, _b), end in zip(pairs, ends)])
     return [tuple(islice(parts, len(step))) for step in steps]
@@ -957,7 +954,7 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
 
     for i in range(trials):
         dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
-        rng = _scan_rng(seed, i)
+        rng = np.random.default_rng((seed, i))
         drawn = ((_draw_commuting_pair(rng, dim),) if commuting_only
                  else (_draw_generic(rng, dim), _draw_generic(rng, dim)))
         if (dim, t) in blocks and 2 * dim * dim * (len(blocks[dim, t]) + 1) > STACK_ENTRIES:

@@ -295,35 +295,28 @@ class _EffectStack:
     snapped when first read.  A stack built from matrices holds no
     decomposition until then (see :func:`_effect_stack`); read, it is
     ``_decomposed`` of the matrix, and a slice decomposes only its own items.
-    A stack joined by ``of`` holds its parts, and its decomposition joins
-    theirs, so a slice of it never decomposes again what a part holds.
     """
 
-    __slots__ = ("matrix", "_decomposition", "_parts")
+    __slots__ = ("matrix", "_decomposition")
 
-    def __init__(self, matrix, decomposition=None, parts=None):
-        self.matrix, self._decomposition, self._parts = matrix, decomposition, parts
+    def __init__(self, matrix, decomposition=None):
+        self.matrix, self._decomposition = matrix, decomposition
 
     @staticmethod
     def of(parts) -> "_EffectStack":
-        """The items of these effects, or of these stacks of effects, all of
-        one dim, in one stack, in order; no part is decomposed to join it."""
+        """The items of these effects, or stacks of effects, of one dim, in one
+        stack, in order; a join holds its parts' decompositions, pending ones made here."""
         if len(parts) == 1 and isinstance(parts[0], _EffectStack):
             return parts[0]
         join = np.concatenate if isinstance(parts[0], _EffectStack) else np.stack
-        return _EffectStack(join([x.matrix for x in parts]), parts=parts)
+        decs = [x.decomposition for x in parts]
+        return _EffectStack(join([x.matrix for x in parts]), SpectralDecomposition(
+            join([dec.eigenvalues for dec in decs]), join([dec.eigenvectors for dec in decs])))
 
     @property
     def decomposition(self) -> SpectralDecomposition:
         if self._decomposition is None:
-            if self._parts is None:
-                self._decomposition = _decomposed(self.matrix)
-            else:
-                join = np.concatenate if isinstance(self._parts[0], _EffectStack) else np.stack
-                decs = [x.decomposition for x in self._parts]
-                self._decomposition = SpectralDecomposition(
-                    join([dec.eigenvalues for dec in decs]),
-                    join([dec.eigenvectors for dec in decs]))
+            self._decomposition = _decomposed(self.matrix)
         return self._decomposition
 
     @property
@@ -334,9 +327,9 @@ class _EffectStack:
         return len(self.matrix)
 
     def __getitem__(self, items: slice) -> "_EffectStack":
-        if self._decomposition is None and self._parts is None:
+        dec = self._decomposition
+        if dec is None:
             return _EffectStack(self.matrix[items])
-        dec = self.decomposition
         return _EffectStack(self.matrix[items], SpectralDecomposition(
             dec.eigenvalues[items], dec.eigenvectors[items]))
 

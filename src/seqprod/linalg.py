@@ -48,10 +48,11 @@ def require_tolerance(name: str, value) -> float:
     """``value`` as a float, which every tolerance must be: a finite real >= 0.
 
     A NaN would compare false against every defect, so it is rejected like a
-    negative or infinite value; ``value`` may be the text of a CLI flag.
+    negative or infinite value, and so is a bool, which ``float`` takes as 0
+    or 1; ``value`` may be the text of a CLI flag.
     """
     try:
-        tol = float(value)
+        tol = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         tol = math.nan
     if not (math.isfinite(tol) and tol >= 0.0):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqprod.axioms
 import seqprod.effects
 import seqprod.linalg
 from seqprod import (
@@ -713,10 +715,10 @@ def test_a_pending_slice_decomposes_its_own_items_bit_for_bit(dim, monkeypatch):
     assert np.array_equal(part.matrix, whole.matrix[2:5])
 
 
-def test_joining_pending_stacks_decomposes_nothing_until_read(monkeypatch):
-    # the right operands of a later step join pending outputs with drawn
-    # effects: joined, nothing is decomposed; read, each pending part runs
-    # its own eigensolve and each drawn part keeps its eigensystem's bits
+def test_joining_pending_stacks_decomposes_each_pending_part_once(monkeypatch):
+    # the left operands of a later step join pending outputs with drawn
+    # effects: joining runs one eigensolve per pending part, each drawn part
+    # keeps its eigensystem's bits, and a later read or slice runs none
     rng = np.random.default_rng(41)
     drawn = _mixed_effects(rng, 3, 4)
     a, b = seqprod.effects._EffectStack.of(drawn[:2]), seqprod.effects._EffectStack.of(drawn[2:])
@@ -724,11 +726,11 @@ def test_joining_pending_stacks_decomposes_nothing_until_read(monkeypatch):
     mean = seqprod.effects._effect_stack(0.5 * (a.matrix + b.matrix))
     calls = _counted_calls(monkeypatch, "hermitian_eig")
     joined = seqprod.effects._EffectStack.of([out[1:], a, mean, out[:1]])
-    assert calls == []
-    assert len(joined) == 6 and joined.dim == 3
-    tail = joined[1:5]  # a slice of a joined stack reads the parts' decompositions
     assert calls == [("hermitian_eig", 1), ("hermitian_eig", 2), ("hermitian_eig", 1)]
+    assert len(joined) == 6 and joined.dim == 3
+    tail = joined[1:5]
     joined.decomposition
+    tail.decomposition
     assert len(calls) == 3
     expected = [Effect(out.matrix[1]), *drawn[:2], Effect(mean.matrix[0]),
                 Effect(mean.matrix[1]), Effect(out.matrix[0])]
@@ -736,6 +738,35 @@ def test_joining_pending_stacks_decomposes_nothing_until_read(monkeypatch):
         _assert_same_effect(joined, k, effect)
     for k, effect in enumerate(expected[1:5]):
         _assert_same_effect(tail, k, effect)
+
+
+class _UnreadStack(seqprod.effects._EffectStack):
+    """A stack whose decomposition must not be read."""
+
+    __slots__ = ()
+
+    @property
+    def decomposition(self):
+        raise AssertionError("a right operand's decomposition was read")
+
+
+@pytest.mark.parametrize("t", [None, -1.0, 0.5, 1.0], ids=["luders", "-1", "0.5", "1"])
+def test_a_library_product_reads_no_right_operand_decomposition(t):
+    # A ∘_t B = K B K† reads B's matrix alone, so the joint driver joins its
+    # right operands as matrices, with no decomposition
+    rng = np.random.default_rng(43)
+    a = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+    b = seqprod.effects._EffectStack.of(_mixed_effects(rng, 3, 5))
+    put = luders_product if t is None else functools.partial(phased_product, t=t)
+    unread = _UnreadStack(b.matrix)
+    expected = put(a, b)
+    (whole,), (head, rest) = seqprod.axioms._products(
+        put, [[(a, unread)], [(a[:2], unread[:2]), (a[2:], unread[2:])]])
+    for made, items in [(put(a, unread), range(5)), (whole, range(5)),
+                        (head, range(2)), (rest, range(2, 5))]:
+        assert np.array_equal(made.matrix, expected.matrix[items])
+        for k, item in enumerate(items):
+            _assert_same_effect(made, k, Effect(expected.matrix[item]))
 
 
 def test_one_failing_item_fails_the_stack_with_the_single_effect_error():

@@ -116,10 +116,12 @@ TOLERANCE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, True, False, np.True_],
+                         ids=["nan", "negative", "inf", "true", "false", "numpy_true"])
 @pytest.mark.parametrize("name", TOLERANCE_ENTRY_POINTS)
 def test_every_tolerance_is_a_finite_real_at_least_zero(name, value):
-    # a NaN compares false against every defect, so it would pass every check
+    # a NaN compares false against every defect, so it would pass every check,
+    # and float() takes a bool as a tolerance of 0 or 1
     with pytest.raises(ValidationError, match=f"{name} must be a finite real >= 0"):
         TOLERANCE_ENTRY_POINTS[name](value)
 

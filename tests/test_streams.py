@@ -1,11 +1,11 @@
-"""Trial streams: ``axioms._trial_rng(seed, i)`` and the witness search's
-``axioms._scan_rng(seed, i)`` are numpy's own ``np.random.default_rng((seed,
-i))``, state and draws, for every seed and index, and every report the
-driver and the search make on them is the one those numpy streams give."""
+"""Trial streams: ``axioms._trial_rng(seed, i)`` is numpy's own
+``np.random.default_rng((seed, i))``, state and draws, for every seed and
+index, and every report the driver makes on it is the one those numpy
+streams give.  The witness search draws pair i on
+``np.random.default_rng((seed, i))`` itself."""
 
 import copy
 import functools
-import itertools
 import random
 
 import numpy as np
@@ -43,14 +43,12 @@ DRAWS = {
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_trial_stream_is_numpys_default_rng(seed):
-    # the driver's cached streams and the search's uncached ones alike
-    for make, i in itertools.product((seqprod.axioms._trial_rng, seqprod.axioms._scan_rng),
-                                     INDICES):
-        stream, expected = make(seed, i), numpy_stream(seed, i)
+    for i in INDICES:
+        stream, expected = seqprod.axioms._trial_rng(seed, i), numpy_stream(seed, i)
         assert type(stream.bit_generator) is np.random.PCG64
         assert stream.bit_generator.state == expected.bit_generator.state, (seed, i)
         for name, draw in DRAWS.items():
-            stream, expected = make(seed, i), numpy_stream(seed, i)
+            stream, expected = seqprod.axioms._trial_rng(seed, i), numpy_stream(seed, i)
             assert np.array_equal(draw(stream), draw(expected)), (seed, i, name)
 
 
@@ -96,29 +94,31 @@ REPORT_RUNS = {
 def test_reports_are_those_of_numpys_streams(run, seed, monkeypatch):
     report = dumps(run(seed))
     monkeypatch.setattr(seqprod.axioms, "_trial_rng", numpy_stream)
-    monkeypatch.setattr(seqprod.axioms, "_scan_rng", numpy_stream)
     same = report == dumps(run(seed))  # no pytest diff of two long one-line documents
     assert same
 
 
 def test_each_attempt_and_each_scanned_pair_takes_one_stream(monkeypatch):
     # the tests that wrap _trial_rng see every stream the driver draws on,
-    # and those that wrap _scan_rng every stream the search draws on
+    # and a wrapped np.random.default_rng every stream the search draws on
     calls, attempts = [], []
+    trial_rng, default_rng = seqprod.axioms._trial_rng, np.random.default_rng
     report = seqprod.axioms._Tally.report
 
-    def counted(make):
-        def stream(seed, i):
-            calls.append((seed, i))
-            return make(seed, i)
-        return stream
+    def counted_trial(seed, i):
+        calls.append((seed, i))
+        return trial_rng(seed, i)
+
+    def counted_default(seed):
+        calls.append(seed)
+        return default_rng(seed)
 
     def tallied(tally):
         attempts.append(tally.attempts)
         return report(tally)
 
-    for name in ("_trial_rng", "_scan_rng"):
-        monkeypatch.setattr(seqprod.axioms, name, counted(getattr(seqprod.axioms, name)))
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", counted_trial)
+    monkeypatch.setattr(np.random, "default_rng", counted_default)
     monkeypatch.setattr(seqprod.axioms._Tally, "report", tallied)
     reports = run_axiom_suite(luders_product, trials=10, dims=(2, 3), seed=5, comm_floor=0.5)
     assert len(attempts) == len(reports) == 6
