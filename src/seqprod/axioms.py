@@ -22,7 +22,9 @@ which builds the derived operands and asks for products in steps, each step
 a set of products that depend only on earlier steps.  Drawn effects have
 one builder, a stacked QR and eigensystem build in stacks of bounded size:
 the suite builds the draws of all its checks per dim in one pass, and the
-generators, the converse redraws and the witness search use it too.
+generators, the converse redraws and the witness search's reported pair
+use it too.  The witness search scores its pairs on the same QR and
+checked eigensystems, and forms B's matrices alone.
 Evaluations are written once, for stacks of trials, and every product runs
 through one driver that evaluates the checks of a dim side by side.  The
 library's products, ``luders_product`` and ``phased_product`` with t bound
@@ -58,6 +60,8 @@ from .effects import (
     _effect_stack,
     _EffectStack,
     _effects_from_eigensystems,
+    _eigensystem_matrices,
+    _eigensystems,
     f_z,
     luders_product,
     phased_product,
@@ -141,6 +145,16 @@ def _build(columns: list[list[_Draw]]) -> list[_EffectStack]:
     spectra, and the result holds one stack per spectrum of each column, in
     order.  One stacked QR gives the bases, and one stacked build the
     effects, each basis checked once."""
+    spectra, bases, basis, spans = _laid_out(columns)
+    effects = _effects_from_eigensystems(spectra, bases, basis)
+    return [effects[span] for span in spans]
+
+
+def _laid_out(columns: list[list[_Draw]]):
+    """``_build``'s eigensystems before the build: the spectra (n, d) in
+    stack order, the bases of the draws (m, d, d) from one stacked QR, each
+    spectrum's basis index, and the span of the stack of each spectrum of
+    each column."""
     draws = [draw for column in columns for draw in column]
     bases = _haar(np.stack([d.re for d in draws]), np.stack([d.im for d in draws]))
     spectra, basis, spans, first = [], [], [], 0
@@ -150,8 +164,7 @@ def _build(columns: list[list[_Draw]]) -> list[_EffectStack]:
             spectra += [draw.spectra[s] for draw in column]
             basis += range(first, first + len(column))
         first += len(column)
-    effects = _effects_from_eigensystems(np.array(spectra), bases, np.array(basis))
-    return [effects[span] for span in spans]
+    return np.array(spectra), bases, np.array(basis), spans
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -414,11 +427,11 @@ class _Tally:
 
 
 def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
-    """Run the checks ``checks[k]()`` on the product ``put``, check k on the
+    """Run the checks ``checks[k](dims)`` on the product ``put``, check k on the
     streams ``(seed + k, i)``, each until `trials` samples executed or its
     attempts are exhausted, and report each.  Each ``checks[k]`` is called
-    once the schedule and ceiling are checked, so it checks its own
-    arguments after them.
+    with the checked dims once the schedule and ceiling are checked, so it
+    checks its own arguments after them.
 
     Each round draws the attempts every unfinished check still needs, check
     by check in trial order, and evaluates them together (see
@@ -433,7 +446,7 @@ def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
     """
     trials, seed, dims = _schedule(trials, seed, dims)
     ceiling = require_tolerance("ceiling", ceiling)
-    tallies = [_Tally(make(), seed + k, ceiling) for k, make in enumerate(checks)]
+    tallies = [_Tally(make(dims), seed + k, ceiling) for k, make in enumerate(checks)]
     limit = trials * MAX_ATTEMPT_FACTOR
     # an attempt executes at most one trial, so every attempt drawn is needed
     while rounds := [(tally, tally.attempts, min(trials - tally.executed, limit - tally.attempts))
@@ -634,7 +647,7 @@ def _worse(*defects) -> list[float]:
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def _s1() -> _Check:
+def _s1(_dims) -> _Check:
     def draw(rng, dim, _i):
         return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.uniform())
 
@@ -659,7 +672,7 @@ def check_s1(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     return _run_checks(put, trials, dims, seed, ceiling, _s1)[0]
 
 
-def _s2() -> _Check:
+def _s2(_dims) -> _Check:
     def evaluate(a):
         ident = _effect_stack(np.broadcast_to(np.eye(a.dim), a.matrix.shape))
         ia, = yield ((ident, a),)
@@ -674,7 +687,7 @@ def check_s2(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     return _run_checks(put, trials, dims, seed, ceiling, _s2)[0]
 
 
-def _s3() -> _Check:
+def _s3(_dims) -> _Check:
     def evaluate(a, b):
         ab, ba = yield (a, b), (b, a)
         return _samples(_worse(_norms(ab.matrix), _norms(ba.matrix)), a=a, b=b)
@@ -695,7 +708,7 @@ def check_s3(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     return _run_checks(put, trials, dims, seed, ceiling, _s3)[0]
 
 
-def _s4() -> _Check:
+def _s4(_dims) -> _Check:
     def draw(rng, dim, _i):
         return _draw_commuting_pair(rng, dim), _draw_generic(rng, dim)
 
@@ -721,7 +734,7 @@ def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     return _run_checks(put, trials, dims, seed, ceiling, _s4)[0]
 
 
-def _s5() -> _Check:
+def _s5(_dims) -> _Check:
     def draw(rng, dim, _i):
         g = _gaussians(rng, dim)
         lam_a = rng.uniform(0.0, 1.0, dim)
@@ -749,9 +762,16 @@ def check_s5(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
     return _run_checks(put, trials, dims, seed, ceiling, _s5)[0]
 
 
-def _commutativity(comm_floor, separation_floor) -> _Check:
+def _commutativity(comm_floor, separation_floor, dims) -> _Check:
     comm_floor = require_tolerance("comm_floor", comm_floor)
     separation_floor = require_tolerance("separation_floor", separation_floor)
+    # ‖AB − BA‖_op <= 1/2 for 0 <= A, B <= I (Kittaneh), so ‖AB − BA‖_F <= √d/2:
+    # a floor above that at every dim leaves no converse trial to run
+    dim = max(dims)
+    if comm_floor > (reach := math.sqrt(dim) / 2.0):
+        raise ValidationError(
+            f"comm_floor {comm_floor!r} exceeds √d/2 = {reach!r}, the bound on "
+            f"‖AB − BA‖_F of two effects at d = {dim}, the largest of dims")
     min_gap = None
 
     def draw(rng, dim, i):
@@ -898,20 +918,20 @@ def projector_interpolation(b: Effect, k: int) -> np.ndarray:
 # Non-uniqueness search
 # ---------------------------------------------------------------------------
 
-def _gap_score(a: _EffectStack, b: _EffectStack, t: float) -> list[float]:
-    """‖A ∘_t B − A ∘ B‖_op of each pair of the stacks, computed in A's eigenbasis.
+def _gap_score(lam: np.ndarray, v: np.ndarray, b: np.ndarray, t: float) -> list[float]:
+    """‖A ∘_t B − A ∘ B‖_op of each pair, computed in A's eigenbasis, from
+    the pairs' A as snapped eigenvalues lam (n, d) and eigenvectors v
+    (n, d, d), and B as matrices b (n, d, d).
 
     With A = V·diag(λ)·V†, k_t = f_{1/2+it}(λ) and k_0 = f_{1/2}(λ), the
     difference is V·M·V† with M = (k_t k_t† − k_0 k_0†) ⊙ (V†·B·V), a
     Hermitian matrix of the same operator norm: max |eigenvalue of M|.
     """
-    dec = a.decomposition
-    lam, v = dec.eigenvalues, dec.eigenvectors
     k_t = f_z(complex(0.5, t), lam)
     k_0 = f_z(0.5, lam)
     weights = k_t[:, :, None] * k_t.conj()[:, None, :] - k_0[:, :, None] * k_0.conj()[:, None, :]
     # named: numpy multiplies a temporary above 256 KiB in place, which rounds differently
-    m = v.conj().swapaxes(-1, -2) @ b.matrix @ v
+    m = v.conj().swapaxes(-1, -2) @ b @ v
     # eigvalsh reads one triangle, so the rounding asymmetry of V†BV is moot
     w = np.linalg.eigvalsh(weights * m)
     return np.abs(w).max(axis=-1).tolist()  # +0.0, never -0.0, for a zero M
@@ -927,12 +947,16 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     Scores each random draw by ‖A ∘_t B − A ∘ B‖_op computed in A's
     eigenbasis, without forming either product.  That one score ranks the
     draws, sets ``first_hit_trial``, decides ``found`` and is the reported
-    ``gap``.  The draws of each (dim, t) are built and scored in stacks of at
-    most STACK_ENTRIES matrix entries, and read in trial order.  The two
-    product matrices are built for a found witness alone; a failed search
-    reports only the gap, with its witness fields None.  For a 2x2 witness
-    the reported ``theta`` is t·(ln a² − ln b²) with a² the larger
-    eigenvalue of A, the phase that twists the off-diagonal entry.
+    ``gap``.  The draws of each (dim, t) are scored in stacks of at most
+    STACK_ENTRIES matrix entries, and read in trial order.  A stack's
+    eigensystems have one QR and one check, as ``_build`` gives them, and
+    only B's matrices are formed: the score reads A's eigensystem alone.
+    The reported pair's two effects are built from its draws after the
+    scan, bit for bit as the stacked build gives them, and its two product
+    matrices are built for a found witness alone; a failed search reports
+    only the gap, with its witness fields None.  For a 2x2 witness the
+    reported ``theta`` is t·(ln a² − ln b²) with a² the larger eigenvalue of
+    A, the phase that twists the off-diagonal entry.
     """
     t_values = tuple(_require_real("t_values entry", t) for t in t_values)
     trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
@@ -943,14 +967,14 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     def score(dim, t):
         nonlocal best, first_hit
         block = blocks.pop((dim, t))
-        a, b = _build(list(zip(*[drawn for _i, drawn in block])))
-        for k, gap in enumerate(_gap_score(a, b, t)):
-            i = block[k][0]
+        spectra, bases, basis, (a, b) = _laid_out(list(zip(*[drawn for _i, drawn in block])))
+        w, v, snapped = _eigensystems(spectra, bases, basis)
+        gaps = _gap_score(snapped[a], v[a], _eigensystem_matrices(w[b], v[b]), t)
+        for (i, drawn), gap in zip(block, gaps):
             if gap > gap_threshold and (first_hit is None or i < first_hit):
                 first_hit = i
             if best is None or gap > best[0] or gap == best[0] and i < best[1]:
-                (x,), (y,) = a[k:k + 1], b[k:k + 1]
-                best = (gap, i, dim, t, x, y)
+                best = (gap, i, dim, t, drawn)
 
     for i in range(trials):
         dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
@@ -962,11 +986,12 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
         blocks.setdefault((dim, t), []).append((i, drawn))
     for key in list(blocks):
         score(*key)
-    gap, trial, dim, t, a, b = best
+    gap, trial, dim, t, drawn = best
     report = {"found": False, "gap": gap, "threshold": gap_threshold,
               "trial": None, "first_hit_trial": first_hit, "dim": None,
               "t": None, "theta": None, "a_eigenvalues": None, "witness": None}
     if gap > gap_threshold:
+        (a,), (b,) = _build([[draw] for draw in drawn])
         lam = a.decomposition.eigenvalues
         report.update(
             found=True, trial=trial, dim=dim, t=t,

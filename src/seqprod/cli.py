@@ -33,7 +33,7 @@ from .channels import (
     choi_min_eigenvalue,
     phased_channel,
 )
-from .effects import DensityOperator, Effect, ValidationError
+from .effects import DensityOperator, Effect, ValidationError, _effect_stack
 from .effects import luders_product, phased_product, product_on_selfadjoint
 from .linalg import require_tolerance
 from .serialize import document_to_matrix, dumps, matrix_to_document
@@ -153,10 +153,11 @@ def _single_t(args) -> float:
 
 def cmd_product(args) -> int:
     a = _load_effect(args.a_file)
-    b = _load_effect(args.b_file)
+    # the product reads B's matrix alone (K B K†): certified an effect, not decomposed
+    b = _effect_stack(document_to_matrix(_load_json(args.b_file))[None])
     t = _single_t(args)
     # phased_product's matrix bit for bit; 0 <= KBK† <= KK† <= I needs no Effect check
-    product = product_on_selfadjoint(a, b, 0.0 if args.form == "luders" else t)
+    product = product_on_selfadjoint(a, b.matrix[0], 0.0 if args.form == "luders" else t)
     _emit(args, matrix_to_document(product))
     return EXIT_OK
 

@@ -135,12 +135,14 @@ def _snapped(w: np.ndarray, lo: float, hi: float, top: float = 1.0) -> np.ndarra
     return np.where(w > SUPPORT_CUTOFF, np.minimum(w, 1.0), 0.0)
 
 
-def _effects_from_eigensystems(w, bases, basis=...):
-    """The stack of effects with spectra w (n, d) and eigenvector columns
-    ``bases[basis]`` (n, d, d), checked, sorted ascending and snapped; or,
-    for w (d,) and a basis (d, d), that one effect.  ``basis`` may index the
-    distinct bases (m, d, d) the stack shares out, so that each basis is
-    checked once.
+def _eigensystems(w, bases, basis=...):
+    """The eigensystems with spectra w (n, d) and eigenvector columns
+    ``bases[basis]`` (n, d, d), checked, sorted ascending and snapped, as
+    ``(w, v, snapped)``: the sorted spectra, the columns in their order and
+    the spectra snapped as an effect's decomposition holds them; or, for
+    w (d,) and a basis (d, d), that one eigensystem.  ``basis`` may index
+    the distinct bases (m, d, d) the stack shares out, so that each basis
+    is checked once.
 
     Each check reads the whole stack, so every item passes when it passes:
     the orthonormality defect is the Frobenius norm over all bases, which
@@ -165,8 +167,20 @@ def _effects_from_eigensystems(w, bases, basis=...):
     order = np.argsort(w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, -1)
     v = np.take_along_axis(each, order[..., None, :], -1)
-    m = hermitize((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))  # each V·diag(w)·V†
-    snapped = _snapped(w, float(w[..., 0].min()), float(w[..., -1].max()))
+    return w, v, _snapped(w, float(w[..., 0].min()), float(w[..., -1].max()))
+
+
+def _eigensystem_matrices(w, v) -> np.ndarray:
+    """Each V·diag(w)·V†, hermitized, for sorted eigensystems from :func:`_eigensystems`."""
+    return hermitize((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def _effects_from_eigensystems(w, bases, basis=...):
+    """The stack of effects with the eigensystems :func:`_eigensystems`
+    checks, sorts and snaps, each with the matrix V·diag(w)·V† of its sorted
+    spectrum, hermitized; or, for w (d,) and a basis (d, d), that one effect."""
+    w, v, snapped = _eigensystems(w, bases, basis)
+    m = _eigensystem_matrices(w, v)
     if w.ndim == 1:
         return Effect._built(m, snapped, v)
     return _EffectStack(m, SpectralDecomposition(snapped, v))

@@ -633,11 +633,12 @@ def test_a_raising_converse_block_redraws_the_same_pairs(monkeypatch):
     assert report.witness["trial"] == 3 and "overflows the phase" in report.witness["error"]
 
 
-@pytest.mark.parametrize("comm_floor, dims", [(0.5, (2, 3)), (0.8, (2,))])
+@pytest.mark.parametrize("comm_floor, dims", [(0.5, (2, 3)), (0.7, (2,))])
 def test_stacked_redraws_take_the_pairs_single_redraws_take(comm_floor, dims, monkeypatch):
-    # at 0.5 the hits land inside the chunks of 1, 2, 4, ... redraws; 0.8 is
-    # above √2/2, the largest ‖AB − BA‖_F of two 2x2 effects, so every
-    # converse attempt there runs through all 199 redraws and is no trial
+    # at 0.5 the hits land inside the chunks of 1, 2, 4, ... redraws; 0.7 is
+    # just below √2/2, the largest ‖AB − BA‖_F of two 2x2 effects, which only
+    # a measure-zero set of pairs nears, so every converse attempt there runs
+    # through all 199 redraws and is no trial
     checks, gaps = _ref_trials(luders_product, comm_floor=comm_floor)
     (_axiom, comm), = [check for check in checks if check[0] == "commutativity"]
     expected = _ref_run_check("commutativity", 20, dims, 3, comm,
@@ -654,13 +655,35 @@ def test_stacked_redraws_take_the_pairs_single_redraws_take(comm_floor, dims, mo
     report = check_commutativity_theorem(luders_product, trials=20, dims=dims, seed=3,
                                          comm_floor=comm_floor)
     assert report == expected
-    if comm_floor == 0.8:
+    if comm_floor == 0.7:
         assert report.breakdown["converse_trials"] == 0
         # the 19 converse attempts before the 20th forward trial, each its
         # pair and 199 redrawn pairs
         assert len(draws) == 19 * 2 * 200
     else:
         assert report.breakdown["converse_trials"] > 0
+
+
+def test_a_comm_floor_no_pair_reaches_is_rejected_before_the_first_trial(monkeypatch):
+    # two 2x2 projections at 45° attain √d/2 = √2/2, the bound on ‖AB − BA‖_F
+    # for 0 <= A, B <= I, as the check measures it: a floor there is reachable
+    p, q = np.diag([1.0, 0.0]), np.full((2, 2), 0.5)
+    reach = math.sqrt(2.0) / 2.0
+    assert seqprod.axioms._norms((p @ q - q @ p)[None]) == [reach]
+    report = check_commutativity_theorem(luders_product, trials=2, dims=(2,), comm_floor=reach)
+    assert report.trials == 2
+    streams = []
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", lambda *key: streams.append(key))
+    above = math.nextafter(reach, 1.0)
+    for run in (check_commutativity_theorem, run_axiom_suite):
+        with pytest.raises(ValidationError, match=rf"comm_floor {above!r} exceeds √d/2 = {reach!r}"):
+            run(luders_product, trials=2, dims=(1, 2), comm_floor=above)
+    assert streams == []
+    # the bound is the largest dim's, read from the checked schedule, so
+    # dims may be an iterator that only the schedule check reads
+    monkeypatch.undo()
+    assert check_commutativity_theorem(luders_product, trials=2, dims=iter((2, 3)),
+                                       comm_floor=above).trials == 2
 
 
 def test_stacks_stay_within_the_entry_budget(monkeypatch):
@@ -1160,11 +1183,13 @@ def test_witness_search_symmetrizes_each_product_once(monkeypatch):
     monkeypatch.setattr(seqprod.axioms, "product_on_selfadjoint", counted_product)
     trials = 6
     assert find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))["found"]
-    # one symmetrization per stacked build, here one per dim, and one per
-    # product; the two products are built for the reported pair alone
-    assert len(calls) == 2 + 2
+    # one symmetrization per scored stack, of its B matrices, here one stack
+    # per dim; one for the reported pair's build, its A and B; and one per
+    # product, the two products built for the reported pair alone
+    assert len(calls) == 2 + 1 + 2
     assert len(products) == 2
-    # a failed search forms no product: its stacked builds alone symmetrize
+    # a failed search builds no pair and forms no product: its scored
+    # stacks' B matrices alone are symmetrized
     calls.clear()
     products.clear()
     assert not find_nonuniqueness_witness(trials=trials, dims=(2, 3),
@@ -1242,6 +1267,15 @@ def test_a_stacked_search_reports_what_a_per_pair_search_reports(search):
     assert find_nonuniqueness_witness(**search) == expected
 
 
+def _scored_operands(columns):
+    """A's snapped eigenvalues and eigenvectors and B's matrices, as the
+    witness search forms them from a stack of draws: one eigensystem build,
+    then B's matrices alone."""
+    spectra, bases, basis, (a, b) = seqprod.axioms._laid_out(columns)
+    w, v, snapped = seqprod.effects._eigensystems(spectra, bases, basis)
+    return snapped[a], v[a], seqprod.effects._eigensystem_matrices(w[b], v[b])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 16, 64])
 def test_a_batched_gap_score_is_the_per_pair_score_bit_for_bit(dim):
     # stacks of 1, 2 and, at d = 64, one above numpy's 256 KiB
@@ -1250,9 +1284,38 @@ def test_a_batched_gap_score_is_the_per_pair_score_bit_for_bit(dim):
              for k in range(18)]
     for t in (1.0, -1.0, 3.0):
         for n in (1, 2, 9):
-            a, b = seqprod.axioms._build([draws[:n], draws[n:2 * n]])
+            columns = [draws[:n], draws[n:2 * n]]
+            a, b = seqprod.axioms._build(columns)
             expected = [helpers.reference_gap_score(x, y, t) for x, y in zip(a, b)]
-            assert seqprod.axioms._gap_score(a, b, t) == expected
+            lam, v, b_matrices = _scored_operands(columns)
+            # the search's operands are the stacked build's, bit for bit
+            dec = a.decomposition
+            for got, built in ((lam, dec.eigenvalues), (v, dec.eigenvectors),
+                               (b_matrices, b.matrix)):
+                assert np.array_equal(got, built)
+            assert seqprod.axioms._gap_score(lam, v, b_matrices, t) == expected
+
+
+def test_a_search_forms_no_a_matrix_but_the_reported_pairs(monkeypatch):
+    formed = []
+    original = seqprod.effects._eigensystem_matrices
+
+    def recorded(w, v):
+        formed.append(w.shape)
+        return original(w, v)
+
+    for module in (seqprod.effects, seqprod.axioms):
+        monkeypatch.setattr(module, "_eigensystem_matrices", recorded)
+    # a d = 64 block holds two pairs and is scored as the third arrives; the
+    # d = 16 block, which no trial fills, is scored at the end, then the last d = 64 one
+    report = find_nonuniqueness_witness(trials=12, dims=(16, 64), t_values=(1.0,))
+    assert report["found"]
+    # each block forms exactly its B stack; the reported pair's A and B come last
+    assert formed == [(2, 64), (2, 64), (6, 16), (2, 64), (2, report["dim"])]
+    formed.clear()
+    report = find_nonuniqueness_witness(trials=12, dims=(16, 64), commuting_only=True)
+    assert not report["found"]
+    assert formed == [(2, 64), (2, 64), (6, 16), (2, 64)]
 
 
 def test_search_stacks_stay_within_the_entry_budget(monkeypatch):
@@ -1305,8 +1368,7 @@ def test_a_resonant_spectrum_gives_the_luders_product_for_every_b():
 
     def gaps(t, ratio):
         a_draw = seqprod.axioms._Draw(*basis, (np.array([0.9 * ratio, 0.9]),))
-        a, b = seqprod.axioms._build([[a_draw] * len(bs), bs])
-        return seqprod.axioms._gap_score(a, b, t)
+        return seqprod.axioms._gap_score(*_scored_operands([[a_draw] * len(bs), bs]), t)
 
     for t in (0.5, 1.0, 3.0):
         assert max(gaps(t, math.exp(-2.0 * math.pi / t))) <= 1e-14

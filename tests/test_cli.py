@@ -16,6 +16,7 @@ from seqprod import (
     find_nonuniqueness_witness,
     haar_unitary,
     hermitize,
+    phased_product,
     run_axiom_suite,
 )
 from seqprod.cli import TOL_KEYWORDS, main
@@ -210,22 +211,40 @@ def test_product_phased_vs_luders_off_diagonal(tmp_path, capsys):
     assert abs(luders[0, 1] - 0.45 * 0.2) < 1e-12
 
 
-def test_product_builds_an_effect_per_operand_and_none_for_the_product(tmp_path, capsys,
-                                                                       monkeypatch):
-    calls = []
-    init = Effect.__init__
+def test_product_decomposes_its_left_operand_alone(tmp_path, capsys, monkeypatch):
+    calls, solves = [], []
+    init, eigh = Effect.__init__, np.linalg.eigh
 
     def counted(self, matrix):
         calls.append(None)
         init(self, matrix)
 
-    monkeypatch.setattr(Effect, "__init__", counted)
+    def counted_eigh(matrix, *args, **kwargs):
+        solves.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
     rng = np.random.default_rng(6)
-    a_file = write_doc(tmp_path / "a.json", helpers.random_effect(rng, 4).matrix)
-    b_file = write_doc(tmp_path / "b.json", helpers.random_effect(rng, 4).matrix)
+    a, b = (helpers.random_effect(rng, 4).matrix for _ in range(2))
+    a_file, b_file = write_doc(tmp_path / "a.json", a), write_doc(tmp_path / "b.json", b)
+    monkeypatch.setattr(Effect, "__init__", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     assert main(["product", a_file, b_file, "--t", "1"]) == 0
-    assert len(calls) == 2
-    capsys.readouterr()
+    # A is an Effect, decomposed for its Kraus operator; B, read as a matrix
+    # alone, is certified an effect without an eigensolve; the product is no Effect
+    assert len(calls) == 1 and solves == [(1, 4, 4)]
+    monkeypatch.undo()
+    out = document_to_matrix(json.loads(capsys.readouterr().out))
+    assert np.array_equal(out, phased_product(Effect(a), Effect(b), 1.0).matrix)
+
+
+def test_product_rejects_a_right_operand_outside_zero_one_as_effect_does(tmp_path, capsys):
+    a_file = write_doc(tmp_path / "a.json", np.eye(3) / 2)
+    for b in (np.diag([0.5, 0.2, 1.0 + 1e-6]), np.diag([-3e-10, 0.5, 0.5])):
+        b_file = write_doc(tmp_path / "b.json", b)
+        assert main(["product", a_file, b_file]) == 2
+        with pytest.raises(ValidationError) as rejected:
+            Effect(b)
+        assert capsys.readouterr() == ("", f"error: {rejected.value}\n")
 
 
 def test_product_invalid_input_exit_codes(tmp_path, capsys):
@@ -390,6 +409,15 @@ def test_tol_override_flag(capsys):
     capsys.readouterr()
     assert main(["nonuniqueness", "--trials", "5", "--tol", "decomp=1"]) == 2
     assert "its names: gap" in capsys.readouterr().err
+
+
+def test_an_unreachable_comm_floor_exits_two_with_nothing_on_stdout(capsys):
+    # no two effects at d <= 3 reach ‖AB − BA‖_F = 5; √3/2 is the bound
+    assert main(["axioms", "--product", "luders", "--trials", "20", "--dims", "2,3",
+                 "--tol", "comm_floor=5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: comm_floor 5.0 exceeds √d/2 = 0.8660254037844386")
 
 
 def test_tol_defaults_are_forwarded_not_restated(capsys):
