@@ -128,14 +128,17 @@ def _load_effect(path: str) -> Effect:
 
 
 def _emit(args, payload) -> None:
-    text = dumps(payload) + "\n"
+    text = dumps(payload)
+    # the newline as a write of its own: text + "\n" would copy the whole report
     if args.json_out:
         try:
             with open(args.json_out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             raise ValidationError(f"cannot write {args.json_out}: {exc}") from exc
     sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 def _raw_matrix_product(a: Effect, b: Effect) -> Effect:

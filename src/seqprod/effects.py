@@ -97,12 +97,11 @@ def f_z(z: complex, u):
     if not (math.isfinite(x) and math.isfinite(t)):
         raise DomainError(f"z = {z!r} is not finite")
     u = np.asarray(u, dtype=np.float64)
-    # one pass over plain floats: a NaN or Inf makes the sum non-finite
-    vals = u.ravel().tolist() or [0.0]
-    lo, hi = min(vals), max(vals)
-    if not (math.isfinite(sum(vals)) and -DOMAIN_SLACK <= lo and hi <= 1.0 + DOMAIN_SLACK):
-        bad = next(v for v in vals if not -DOMAIN_SLACK <= v <= 1.0 + DOMAIN_SLACK)
-        raise DomainError(f"u = {bad!r} lies outside [0, 1]")
+    lo, hi = (u.min(), u.max()) if u.size else (0.0, 0.0)  # a NaN propagates to both
+    if not (-DOMAIN_SLACK <= lo and hi <= 1.0 + DOMAIN_SLACK):
+        flat = u.ravel()
+        bad = flat[~((-DOMAIN_SLACK <= flat) & (flat <= 1.0 + DOMAIN_SLACK))][0]
+        raise DomainError(f"u = {float(bad)!r} lies outside [0, 1]")
     if lo < 0.0 or hi > 1.0:
         u = np.clip(u, 0.0, 1.0)
     mask = ... if lo > 0.0 else u > 0.0  # no zeros: evaluate in place, no gather
@@ -110,7 +109,7 @@ def f_z(z: complex, u):
     w = np.zeros(u.shape, dtype=np.complex128)
     if pos.size:
         # the smallest u gives the largest |t·ln u| and, for x < 0, the largest u**x
-        smallest = min(pos.ravel().tolist())
+        smallest = float(pos.min())
         if not math.isfinite(abs(t) * math.log(smallest)):
             raise DomainError(f"t = {t!r} overflows the phase t·ln λ")
         try:

@@ -6,13 +6,12 @@ entries row-major, length n².  Reports use the layout of
 significant digits, so that serialized reports are byte-identical across
 runs and round-trip float64 exactly.
 
-Almost all of a report's floats are the ``entries`` of its matrix documents.
-So the writer emits a float matrix -- a non-empty list of equal-length,
-non-empty lists of ``float`` -- in one step: the layout is built as a
-template of ``%.17g`` slots, one per value, and applied to the flattened
-values with a single ``%``, which formats each float as
-``format(x, ".17g")`` does.  Every other value takes the recursive path.
-The reader, in turn, flattens the entries in one pass.
+The writer builds a report in one pass: every nesting level appends its
+pieces to one list, which ``dumps`` joins once into the string it returns,
+so writing a report costs about twice its size in memory.  A float matrix --
+a non-empty list of equal-length, non-empty lists of ``float``, such as a
+document's ``entries`` -- is one piece: a template of ``%.17g`` slots filled
+by a single ``%``, which formats each value as ``format(x, ".17g")`` does.
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ def _require_finite(x: float) -> None:
 
 
 def _float_rows(obj: list | tuple) -> list | None:
-    """Row-major values of a list of equal-length, non-empty float lists, else None.
-
-    Raises ``ValueError`` on a non-finite value, as the recursive path would.
-    """
+    """Row-major values of a list of equal-length, non-empty float lists, else None;
+    a non-finite value raises ``ValueError``, as the recursive path would."""
     if not (type(obj) is list and set(map(type, obj)) == {list}
             and len(set(map(len, obj))) == 1):
         return None
@@ -64,34 +61,39 @@ def _matrix_template(rows: int, width: int, pad: str) -> str:
     return "[\n" + ",\n".join([row] * rows) + "\n" + pad + "]"
 
 
-def _encode(obj, pad: str) -> str:
+def _encode(obj, pad: str, out: list) -> None:
+    inner = pad + INDENT
     if isinstance(obj, float):
         _require_finite(obj)
-        return format(obj, ".17g")
-    inner = pad + INDENT
-    if isinstance(obj, dict) and obj:
-        items = []
-        for key, value in obj.items():
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, dict) and obj:
+        for k, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(inner + json.dumps(key) + ": " + _encode(value, inner))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        flat = _float_rows(obj)
-        if flat is not None:
-            return _matrix_template(len(obj), len(obj[0]), pad) % tuple(flat)
-        items = [inner + _encode(value, inner) for value in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return json.dumps(obj)  # None, bool, int, str, {} and []; else json's TypeError
+            out.append((",\n" if k else "{\n") + inner + json.dumps(key) + ": ")
+            _encode(value, inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj and (flat := _float_rows(obj)) is not None:
+        out.append(_matrix_template(len(obj), len(obj[0]), pad) % tuple(flat))
+    elif isinstance(obj, (list, tuple)) and obj:
+        for k, value in enumerate(obj):
+            out.append((",\n" if k else "[\n") + inner)
+            _encode(value, inner, out)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(obj))  # None, bool, int, str, {} and []; else json's TypeError
 
 
 def dumps(obj) -> str:
     """Serialize to JSON in ``json.dumps(obj, indent=2)``'s layout, floats at 17 digits."""
-    return _encode(obj, "")
+    _encode(obj, "", out := [])
+    return "".join(out)
 
 
 def matrix_to_document(matrix) -> dict:
     m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:  # what document_to_matrix reads
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     entries = m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()
     return {"dim": m.shape[0], "entries": entries}
 

@@ -1,6 +1,8 @@
+import argparse
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +179,71 @@ def test_matrix_document_matches_the_entrywise_walk(matrix):
     doc = matrix_to_document(matrix)
     assert doc["dim"] == matrix.shape[0]
     assert dumps(doc["entries"]) == dumps(walk)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), (0, 0)])
+def test_matrix_document_refuses_a_shape_its_reader_rejects(shape):
+    # the shapes gave dim 2 with 6 entries, dim 4 with 4, dim 2 with 8 and dim 0
+    with pytest.raises(ValidationError) as exc:
+        matrix_to_document(np.zeros(shape))
+    assert str(exc.value) == f"expected a square matrix, got shape {shape}"
+
+
+def test_a_square_matrix_round_trips_through_its_document():
+    m = helpers.random_hermitian(np.random.default_rng(4), 4)
+    doc = matrix_to_document(m)
+    assert doc["dim"] == 4
+    assert np.array_equal(document_to_matrix(json.loads(dumps(doc))), m)
+
+
+def test_dumps_holds_about_two_copies_of_a_report_at_its_peak():
+    # its pieces and the string they join into; joined at every nesting level it held three
+    rng = np.random.default_rng(3)
+    payload = {"groups": [{"reports": [
+        {"witness": {key: matrix_to_document(helpers.random_hermitian(rng, 64))
+                     for key in ("phased", "luders")}}
+        for _ in range(3)
+    ]}]}
+    size = len(dumps(payload))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        dumps(payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 2.2 * size
+
+
+def test_emit_writes_the_text_dumps_returns_and_a_newline_to_each_sink(monkeypatch):
+    # two writes a sink, as text + "\n" would copy the whole report once more
+    returned = []
+
+    def recording_dumps(obj):
+        returned.append(dumps(obj))
+        return returned[-1]
+
+    class Sink(list):
+        write = list.append  # keeps the object written, not a copy
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+    stdout, json_out = Sink(), Sink()
+    monkeypatch.setattr(seqprod.cli, "dumps", recording_dumps)
+    monkeypatch.setattr(seqprod.cli.sys, "stdout", stdout)
+    monkeypatch.setattr(seqprod.cli, "open", lambda *args, **kwargs: json_out, raising=False)
+    seqprod.cli._emit(argparse.Namespace(json_out="report.json"), {"gap": 0.5})
+    (text,) = returned
+    for sink in (stdout, json_out):
+        assert len(sink) == 2 and sink[0] is text and sink[1] == "\n"
 
 
 # ---------------------------------------------------------------------------

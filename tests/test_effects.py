@@ -103,11 +103,16 @@ def test_f_z_is_exact_zero_at_zero(z):
     (-1e308j, np.array([0.5, 1e-300]), "overflows the phase"),
     (-1000.0, 1e-300, "overflows the magnitude"),
     (-1000.0 + 1j, np.array([1.0, 1e-300, 0.0]), "overflows the magnitude"),
-    (1j, np.array([0.5, math.nan]), "outside"),
-    (1j, np.array([0.5, math.inf]), "outside"),
-    (1j, np.array([[0.5, 0.1], [-0.1, 0.2]]), "outside"),
+    # the first value outside in ravel order, as repr(float) writes it
+    (1j, np.array([0.5, math.nan, 2.0]), r"^u = nan lies outside \[0, 1\]$"),
+    (1j, np.array([0.5, -math.inf]), r"^u = -inf lies outside"),
+    (1j, np.array([[0.5, 0.1], [-0.1, 0.2]]), r"^u = -0\.1 lies outside"),
+    (1j, np.array([[0.5, 1.5], [-0.1, 0.2]]), r"^u = 1\.5 lies outside"),
+    (1j, np.float64(-1e-11), r"^u = -1e-11 lies outside"),
+    (1j, np.array([1.0 + 2e-12]), r"^u = 1\.000000000002 lies outside"),
 ], ids=["nan", "inf_phase", "inf_magnitude", "phase", "phase_array", "magnitude",
-        "magnitude_array", "nan_u", "inf_u", "negative_u"])
+        "magnitude_array", "nan_u", "inf_u", "negative_u", "first_outside_u",
+        "numpy_scalar_u", "past_slack_u"])
 def test_f_z_rejects_what_it_cannot_evaluate(z, u, message):
     with pytest.raises(DomainError, match=message):
         f_z(z, u)
