@@ -24,7 +24,8 @@ one builder, a stacked QR and eigensystem build in stacks of bounded size:
 the suite builds the draws of all its checks per dim in one pass, and the
 generators, the converse redraws and the witness search's reported pair
 use it too.  The witness search scores its pairs on the same QR and
-checked eigensystems, and forms B's matrices alone.
+checked eigensystems, and forms B's matrices alone, on one worker thread
+while the calling thread draws.
 Evaluations are written once, for stacks of trials, and every product runs
 through one driver that evaluates the checks of a dim side by side.  The
 library's products, ``luders_product`` and ``phased_product`` with t bound
@@ -120,7 +121,9 @@ def _gaussians(rng, dim) -> tuple[np.ndarray, np.ndarray]:
 def _haar(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The Haar unitary of each Gaussian matrix re + i·im of a stack (..., d, d):
     its QR factor Q with the phases of R's diagonal moved into Q's columns."""
-    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    z = np.empty(re.shape, np.complex128)  # (re + 1j·im) / √2 with no complex temporaries
+    z.real, z.imag = re * (1 / np.sqrt(2.0)), im * (1 / np.sqrt(2.0))
+    q, r = np.linalg.qr(z)
     d = r.diagonal(0, -2, -1)
     return q * (d / np.abs(d))[..., None, :]
 
@@ -951,6 +954,10 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     STACK_ENTRIES matrix entries, and read in trial order.  A stack's
     eigensystems have one QR and one check, as ``_build`` gives them, and
     only B's matrices are formed: the score reads A's eigensystem alone.
+    The calling thread draws while one worker thread scores, two stacks at
+    most in flight, merged in submission order: the report and a raised
+    error are an inline scan's, and no thread outlives the call.  One
+    worker, as ``eigvalsh`` does not overlap across threads.
     The reported pair's two effects are built from its draws after the
     scan, bit for bit as the stacked build gives them, and its two product
     matrices are built for a found witness alone; a failed search reports
@@ -958,34 +965,48 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     reported ``theta`` is t·(ln a² − ln b²) with a² the larger eigenvalue of
     A, the phase that twists the off-diagonal entry.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: the search alone pays
+
     t_values = tuple(_require_real("t_values entry", t) for t in t_values)
     trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
     gap_threshold = require_tolerance("gap_threshold", gap_threshold)
     best = first_hit = None
     blocks = {}  # (dim, t) -> the trials drawn and not yet scored, as (i, drawn)
+    in_flight = []  # (block, dim, t, future of its gaps), oldest first, at most two
 
-    def score(dim, t):
-        nonlocal best, first_hit
-        block = blocks.pop((dim, t))
+    def gaps_of(block, t):
         spectra, bases, basis, (a, b) = _laid_out(list(zip(*[drawn for _i, drawn in block])))
         w, v, snapped = _eigensystems(spectra, bases, basis)
-        gaps = _gap_score(snapped[a], v[a], _eigensystem_matrices(w[b], v[b]), t)
-        for (i, drawn), gap in zip(block, gaps):
+        return _gap_score(snapped[a], v[a], _eigensystem_matrices(w[b], v[b]), t)
+
+    def merge():
+        nonlocal best, first_hit
+        block, dim, t, gaps = in_flight.pop(0)
+        for (i, drawn), gap in zip(block, gaps.result()):
             if gap > gap_threshold and (first_hit is None or i < first_hit):
                 first_hit = i
             if best is None or gap > best[0] or gap == best[0] and i < best[1]:
                 best = (gap, i, dim, t, drawn)
 
-    for i in range(trials):
-        dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
-        rng = np.random.default_rng((seed, i))
-        drawn = ((_draw_commuting_pair(rng, dim),) if commuting_only
-                 else (_draw_generic(rng, dim), _draw_generic(rng, dim)))
-        if (dim, t) in blocks and 2 * dim * dim * (len(blocks[dim, t]) + 1) > STACK_ENTRIES:
-            score(dim, t)
-        blocks.setdefault((dim, t), []).append((i, drawn))
-    for key in list(blocks):
-        score(*key)
+    def flush(dim, t):
+        if len(in_flight) == 2:
+            merge()
+        block = blocks.pop((dim, t))
+        in_flight.append((block, dim, t, pool.submit(gaps_of, block, t)))
+
+    with ThreadPoolExecutor(1) as pool:
+        for i in range(trials):
+            dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
+            rng = np.random.default_rng((seed, i))
+            drawn = ((_draw_commuting_pair(rng, dim),) if commuting_only
+                     else (_draw_generic(rng, dim), _draw_generic(rng, dim)))
+            if (dim, t) in blocks and 2 * dim * dim * (len(blocks[dim, t]) + 1) > STACK_ENTRIES:
+                flush(dim, t)
+            blocks.setdefault((dim, t), []).append((i, drawn))
+        for key in list(blocks):
+            flush(*key)
+        while in_flight:
+            merge()
     gap, trial, dim, t, drawn = best
     report = {"found": False, "gap": gap, "threshold": gap_threshold,
               "trial": None, "first_hit_trial": first_hit, "dim": None,

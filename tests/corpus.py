@@ -56,9 +56,13 @@ ENTRIES = [
     ("axioms-phased-huge-t", "axioms --product phased --t 1e307 --dims 1,2,3 --trials 10"),
     ("axioms-unreachable-comm-floor",
      "axioms --product luders --trials 20 --dims 2,3 --tol comm_floor=5"),
+    ("axioms-raised-comm-floor", "axioms --product luders --trials 40 --tol comm_floor=0.5"),
+    ("axioms-luders-dim-one", "axioms --product luders --dims 1,2 --trials 20"),
     ("nonuniqueness-default", "nonuniqueness"),
     ("nonuniqueness-commuting", "nonuniqueness --kind commuting"),
     ("nonuniqueness-d16-d64", "nonuniqueness --dims 16,64 --trials 20"),
+    ("nonuniqueness-interleaved-blocks",
+     "nonuniqueness --dims 2,16,64 --t=-1,1,3 --trials 90 --seed 11"),
     ("product-phased", "product {dir}/a.json {dir}/b.json --t 1"),
     ("product-luders", "product {dir}/a.json {dir}/b.json --form luders"),
     ("product-right-operand-over-one", "product {dir}/a.json {dir}/over.json"),

@@ -1,6 +1,8 @@
 import functools
 import inspect
 import math
+import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +14,7 @@ import seqprod.effects
 import seqprod.linalg
 from seqprod import (
     CheckReport,
+    DomainError,
     Effect,
     ValidationError,
     check_commutativity_theorem,
@@ -1333,6 +1336,48 @@ def test_search_stacks_stay_within_the_entry_budget(monkeypatch):
     # two generic d = 64 pairs, or four commuting ones, still fit in one stack
     assert (4, 64, 64) in stacked
     assert max(math.prod(shape) for shape in stacked) <= seqprod.axioms.STACK_ENTRIES
+
+
+def test_a_raising_block_raises_its_error_and_leaves_no_thread(monkeypatch):
+    calls, failure = [], DomainError("u = 1.5 lies outside [0, 1]")
+    original = seqprod.axioms._gap_score
+
+    def raising(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise failure
+        return original(*args)
+
+    monkeypatch.setattr(seqprod.axioms, "_gap_score", raising)
+    before = threading.active_count()
+    # d = 64 blocks of two pairs each: the second block raises while the
+    # third is being drawn, and the search raises that block's error
+    with pytest.raises(DomainError) as raised:
+        find_nonuniqueness_witness(trials=12, dims=(64,), t_values=(1.0,))
+    assert raised.value is failure
+    assert threading.active_count() == before
+
+
+def test_a_search_reports_the_same_bits_whatever_the_scoring_schedule(monkeypatch):
+    # three keys whose blocks flush interleaved: d = 64 every two pairs, d = 16
+    # every 32, d = 2 only at the end
+    search = {"trials": 60, "dims": (2, 16, 64), "t_values": (-1.0, 1.0, 3.0), "seed": 11}
+    expected = find_nonuniqueness_witness(**search)
+    threads, original = [], seqprod.axioms._gap_score
+
+    def slowed(*args):
+        threads.append(threading.current_thread())
+        if len(threads) % 2:
+            time.sleep(0.02)  # the drawing thread runs ahead up to the in-flight cap
+        return original(*args)
+
+    monkeypatch.setattr(seqprod.axioms, "_gap_score", slowed)
+    report = find_nonuniqueness_witness(**search)
+    assert report["found"]
+    assert dumps(report) == dumps(expected)
+    assert report == expected
+    # one worker scores every block; the calling thread only draws
+    assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
 
 
 def _d2_supremum(t):
