@@ -69,6 +69,22 @@ ENTRIES = [
     ("channel", "channel {dir}/dec.json {dir}/rho.json --t=-1"),
     ("json-out", "axioms --product luders --trials 10 --dims 2 --seed 7 "
                  "--json-out {dir}/report.json"),
+    ("axioms-raw-raised-comm-floor",
+     "axioms --product raw --trials 40 --dims 2,3 --seed 1 --tol comm_floor=0.5"),
+    ("axioms-raw-dim-one", "axioms --product raw --trials 60 --dims 1,2,3,4,6 --seed 0"),
+    ("axioms-huge-t-raised-comm-floor",
+     "axioms --product phased --t 1e307 --trials 60 --dims 1,2,3 --seed 4 --tol comm_floor=0.3"),
+    # one exit-2 entry per input check whose message names no file
+    ("axioms-negative-seed", "axioms --seed -1"),
+    ("axioms-zero-trials", "axioms --trials 0"),
+    ("axioms-zero-dim", "axioms --dims 2,0"),
+    ("axioms-nan-t", "axioms --product phased --t nan"),
+    ("axioms-negative-tol", "axioms --tol defect=-1"),
+    ("axioms-unread-tol", "axioms --tol gap=1"),
+    ("product-two-t", "product {dir}/a.json {dir}/b.json --t 1,2"),
+    ("product-non-hermitian", "product {dir}/a.json {dir}/non_hermitian.json"),
+    ("channel-sum-off-identity", "channel {dir}/dec_short.json {dir}/rho.json"),
+    ("channel-state-trace-two", "channel {dir}/dec.json {dir}/rho_trace_two.json"),
 ]
 
 
@@ -91,12 +107,17 @@ def make_inputs() -> dict:
     rng = np.random.default_rng(INPUT_SEED)
     a, b, r = (gen_generic(rng, INPUT_DIM).matrix for _ in range(3))
     over = np.diag([0.5] * (INPUT_DIM - 1) + [1 + 1e-6])
+    skew = np.diag([0.5] * INPUT_DIM).astype(np.complex128)
+    skew[0, 1] = 0.1
     return {
         "a.json": matrix_to_document(a),
         "b.json": matrix_to_document(b),
         "over.json": matrix_to_document(over),
         "dec.json": [matrix_to_document(a), matrix_to_document(np.eye(INPUT_DIM) - a)],
         "rho.json": matrix_to_document(r / np.trace(r).real),
+        "non_hermitian.json": matrix_to_document(skew),
+        "dec_short.json": [matrix_to_document(a)],
+        "rho_trace_two.json": matrix_to_document(2 * r / np.trace(r).real),
     }
 
 
