@@ -32,10 +32,12 @@ library's products, ``luders_product`` and ``phased_product`` with t bound
 by keyword (as the CLI binds it), take stacks, so each step costs one
 product call per dim over all checks; any other product is called once per
 item of that step, on single effects.  A check run alone is the same driver
-with one check.  If a dim's build raises, each trial of that dim is
-evaluated again alone, and if an evaluation or a product call raises, each
-trial of the evaluations it interrupted, so each failure is its own
-trial's, with the message a single-effect run gives.
+with one check.  Failures follow one rule: if a dim's build, a product
+call or an evaluation raises, each trial of the evaluations it interrupted
+is attempted again as a block of its own, drawn afresh on its own stream,
+built and evaluated alone, and a block of one trial takes the exception as
+that trial's outcome.  So each failure is its own trial's, with the message
+a single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -286,19 +288,15 @@ class CheckReport:
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     """``np.random.default_rng((seed, index))``, bit for bit: a PCG64 on the
     cached words of numpy's ``SeedSequence((seed, index))``.  Every trial
-    stream is made here, one per attempt."""
-    return _stream(_stream_words(seed, index))
+    stream is made here, one per attempt and one more for an attempt that
+    is redone alone (see ``_evaluated``)."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(_stream_words(seed, index))))
 
 
 @functools.lru_cache(maxsize=8192)  # a 1000-trial suite's six checks
 def _stream_words(seed: int, index: int) -> np.ndarray:
     """A stream's PCG64 seed words, shared by the suites at one seed (the CLI's ``--t``)."""
     return np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
-
-
-def _stream(words: np.ndarray) -> np.random.Generator:
-    """A Generator on a PCG64 seeded with these four uint64 words."""
-    return np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
 class _StreamSeed:
@@ -311,14 +309,6 @@ class _StreamSeed:
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
-
-
-def _stream_copy(rng: np.random.Generator) -> np.random.Generator:
-    """A copy that continues a PCG64 stream bit for bit, made without the
-    fresh OS-seeded PCG64 of numpy's deep-copy path."""
-    copied = _stream(np.zeros(4, np.uint64))
-    copied.bit_generator.state = rng.bit_generator.state
-    return copied
 
 
 def _doc(effect: Effect) -> dict:
@@ -475,10 +465,7 @@ def _attempts(put, dims, rounds):
     for tally, first, count in rounds:
         for i in range(first, first + count):
             dim = dims[(i // 2) % len(dims)]
-            try:
-                drawn = tally.check.draw(_trial_rng(tally.seed, i), dim, i)
-            except Exception as exc:
-                drawn = exc
+            drawn = _drawn(tally, i, dim)
             size = (dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
                     if isinstance(drawn, tuple) else 0)
             if block and entries + size > STACK_ENTRIES:
@@ -487,6 +474,14 @@ def _attempts(put, dims, rounds):
             block.append((tally, i, dim, drawn))
             entries += size
     yield from _evaluated(block, put)
+
+
+def _drawn(tally, i, dim):
+    """Attempt i's draw at dim on its own stream, or the exception it raised."""
+    try:
+        return tally.check.draw(_trial_rng(tally.seed, i), dim, i)
+    except Exception as exc:
+        return exc
 
 
 def _takes_stacks(put) -> bool:
@@ -589,12 +584,13 @@ def _evaluated(block, put):
 
     A check's trials of one dim and one layout of drawn values form a group.
     The draws of all groups of one dim are built in one stacked pass, and
-    the groups are evaluated side by side (see ``_jointly``).  Each trial of
-    a group whose evaluation was interrupted, or of every group of the dim
-    when the stacked build raised, is evaluated again alone: on its items of
-    the stacked build, or on a build of its own draw.  A trial that raises
-    alone takes that exception as its outcome, so each error is charged to
-    the trial that caused it, with the message a single-effect run gives.
+    the groups are evaluated side by side (see ``_jointly``).  If the build
+    raises, it interrupts every group of the dim; a product call or an
+    evaluation that raises interrupts the groups ``_jointly`` names.  Each
+    trial of an interrupted group is attempted again as a block of its own:
+    drawn afresh (``_drawn``), built and evaluated alone.  In a block of one
+    trial the exception is that trial's outcome, so each error is charged
+    to the trial that caused it, with the message a single-effect run gives.
     """
     by_dim, outcomes = {}, {}
     for pos, (tally, _i, dim, drawn) in enumerate(block):
@@ -604,32 +600,24 @@ def _evaluated(block, put):
         else:
             outcomes[pos] = drawn
     for groups in by_dim.values():
-        groups = list(groups.items())
+        groups = list(groups.values())
         try:
-            built = _operands([[block[pos][3] for pos in group] for _key, group in groups])
-        except Exception:
-            built, redo = None, range(len(groups))
+            built = _operands([[block[pos][3] for pos in group] for group in groups])
+        except Exception as exc:  # the build interrupts every group of the dim
+            results = dict.fromkeys(range(len(groups)), exc)
         else:
-            redo = []
-            rows = [(tally.check, operands)
-                    for ((tally, _layout), _group), operands in zip(groups, built)]
-            for g, result in _jointly(rows, put):
-                if isinstance(result, Exception):
-                    redo.append(g)
-                else:
-                    outcomes.update(zip(groups[g][1], result))
-        for g in redo:
-            (tally, _layout), group = groups[g]
-            for k, pos in enumerate(group):
-                try:
-                    operands = ([x[k:k + 1] for x in built[g]] if built is not None
-                                else _operands([[block[pos][3]]])[0])
-                except Exception as exc:
-                    outcomes[pos] = exc
-                    continue
-                (_g, result), = _jointly([(tally.check, operands)], put)
-                outcomes[pos] = result if isinstance(result, Exception) else result[0]
-    for pos, (tally, i, dim, _drawn) in enumerate(block):
+            results = dict(_jointly([(block[group[0]][0].check, operands)
+                                     for group, operands in zip(groups, built)], put))
+        for g, group in enumerate(groups):
+            if not isinstance(result := results[g], Exception):
+                outcomes.update(zip(group, result))
+            elif len(block) == 1:
+                outcomes[group[0]] = result
+            else:
+                for pos in group:
+                    tally, i, dim = block[pos][:3]
+                    (*_, outcomes[pos]), = _evaluated([(tally, i, dim, _drawn(tally, i, dim))], put)
+    for pos, (tally, i, dim, _) in enumerate(block):
         yield tally, i, dim, outcomes[pos]
 
 
@@ -829,10 +817,11 @@ def check_commutativity_theorem(
 def _noncommuting_pairs(a, b, rngs, comm_floor):
     """Stacks a, b with each pair k whose ‖AB − BA‖_F is below comm_floor
     redrawn from its trial's stream ``rngs[k]``, up to 199 times, and for
-    each k whether its pair reaches the floor.  A redraw runs on a copy of
-    the stream, so a trial evaluated again redraws the same pairs.  They are
-    built in chunks of 1, 2, 4, … pairs within STACK_ENTRIES matrix entries,
-    and the first to reach the floor is the pair one-at-a-time redraws take."""
+    each k whether its pair reaches the floor.  The redraws run on that
+    stream itself: a trial attempted again is drawn afresh on a new one
+    (see ``_evaluated``), so it redraws the same pairs.  They are built in
+    chunks of 1, 2, 4, … pairs within STACK_ENTRIES matrix entries, and the
+    first to reach the floor is the pair one-at-a-time redraws take."""
     def reaches(x, y):
         return [value >= comm_floor
                 for value in _norms(x.matrix @ y.matrix - y.matrix @ x.matrix)]
@@ -842,7 +831,7 @@ def _noncommuting_pairs(a, b, rngs, comm_floor):
         return a, b, reached
     a, b, dim = list(a), list(b), a.dim
     for k in [k for k, hit in enumerate(reached) if not hit]:
-        rng, tried = _stream_copy(rngs[k]), 0
+        rng, tried = rngs[k], 0
         while tried < 199 and not reached[k]:
             n = min(tried + 1, 199 - tried, max(1, STACK_ENTRIES // (2 * dim * dim)))
             draws = [_draw_generic(rng, dim) for _ in range(2 * n)]

@@ -539,15 +539,30 @@ class _NaNUniform:
         return out
 
 
-@pytest.mark.parametrize("check, gen, products", [
-    (check_s2, gen_generic, 1),
-    (check_s3, gen_kernel_disjoint_pair, 2),
-], ids=["S2", "S3"])
-def test_a_failed_draw_is_charged_to_its_own_trial(check, gen, products, monkeypatch):
-    # trial 5 shares its dim-2 stack with nine others, which all still run
-    original = seqprod.axioms._trial_rng
-    monkeypatch.setattr(seqprod.axioms, "_trial_rng", lambda seed, i: (
-        _NaNUniform(original(seed, i)) if i == 5 else original(seed, i)))
+class _RaisingNormal(_NaNUniform):
+    """A Generator whose normal draws raise, so a draw that makes one raises."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise FloatingPointError("no normal draws on this stream")
+
+
+@pytest.mark.parametrize("check, gen, products, wrap, streams", [
+    (check_s2, gen_generic, 1, _NaNUniform, 2),
+    (check_s3, gen_kernel_disjoint_pair, 2, _NaNUniform, 2),
+    (check_s2, gen_generic, 1, _RaisingNormal, 1),
+], ids=["S2", "S3", "S2-raising-draw"])
+def test_a_failed_draw_is_charged_to_its_own_trial(check, gen, products, wrap, streams,
+                                                   monkeypatch):
+    # trial 5 shares its dim-2 stack with nine others, which all still run;
+    # a NaN spectrum fails the stacked build, so trial 5 is drawn again and
+    # built alone, and a draw that raises is its trial's outcome, never redrawn
+    original, drawn = seqprod.axioms._trial_rng, []
+
+    def trial_rng(seed, i):
+        drawn.append(i)
+        return wrap(original(seed, i)) if i == 5 else original(seed, i)
+
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
     calls = []
 
     def counted(a, b):
@@ -555,11 +570,12 @@ def test_a_failed_draw_is_charged_to_its_own_trial(check, gen, products, monkeyp
         return luders_product(a, b)
 
     report = check(counted, trials=20, dims=(2, 3), seed=4)
-    with pytest.raises(ValidationError) as one_draw:
-        gen(_NaNUniform(original(4, 5)), 2)
+    with pytest.raises((ValidationError, FloatingPointError)) as one_draw:
+        gen(wrap(original(4, 5)), 2)
     assert (report.trials, report.failures) == (20, 1)
     assert report.witness == {"trial": 5, "dim": 2, "error": str(one_draw.value)}
     assert len(calls) == products * 19
+    assert drawn.count(5) == streams
 
 
 class _TinyUniform(_NaNUniform):
@@ -620,10 +636,6 @@ def test_a_raising_converse_block_redraws_the_same_pairs(monkeypatch):
         return _TinyUniform(original(seed, i)) if i == 3 else original(seed, i)
 
     monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
-    # trial 3's redraws run on a copy of its wrapped stream, wrapped alike
-    stream_copy = seqprod.axioms._stream_copy
-    monkeypatch.setattr(seqprod.axioms, "_stream_copy", lambda rng: (
-        type(rng)(stream_copy(rng._rng)) if isinstance(rng, _NaNUniform) else stream_copy(rng)))
     put, floor = phased(1e307), 0.05
     checks, gaps = _ref_trials(put, comm_floor=floor)
     (_axiom, comm), = [check for check in checks if check[0] == "commutativity"]
@@ -851,6 +863,28 @@ def test_a_raising_user_product_redoes_only_the_evaluations_it_interrupted():
     assert (s2.trials, s2.failures) == (10, 10)
     assert s2.witness == {"trial": 0, "dim": 2, "error": "no product with the identity"}
     assert all(r.failures == 0 for r in reports[:1] + reports[2:])
+
+
+def test_a_redone_trial_is_drawn_once_more_and_makes_no_extra_products(monkeypatch):
+    # the raw product's outputs that are no effects raise, so groups are
+    # interrupted: each of their trials is drawn once more and run alone,
+    # and the suite makes at most 1226 product calls all told
+    put, calls, streams = seqprod.cli._raw_matrix_product, [], []
+    original = seqprod.axioms._trial_rng
+
+    def counted(a, b):
+        calls.append(None)
+        return put(a, b)
+
+    def trial_rng(seed, i):
+        streams.append((seed, i))
+        return original(seed, i)
+
+    monkeypatch.setattr(seqprod.axioms, "_trial_rng", trial_rng)
+    run_axiom_suite(counted, trials=60, dims=(2, 3, 4, 6), seed=0)
+    assert len(calls) <= 1226
+    assert len(streams) > len(set(streams))  # some trials are redone
+    assert max(streams.count(key) for key in set(streams)) == 2
 
 
 def test_a_suite_decomposes_only_the_stacks_it_reads(monkeypatch):

@@ -48,6 +48,7 @@ def test_channel_validation():
 def test_luders_channel_of_identity_is_identity():
     ch = luders_channel(Effect(np.eye(3)))
     assert ch.trace_preserving
+    assert repr(ch) == "QuantumChannel(label='luders', dim=3, kraus=1)"
     rho = DensityOperator(np.eye(3) / 3)
     assert np.abs(apply_channel(ch, rho).matrix - rho.matrix).max() < 1e-14
 

@@ -60,6 +60,8 @@ def test_document_rejects_non_hermitian_and_malformed():
         document_to_matrix({"dim": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]})
     with pytest.raises(ValidationError):
         document_to_matrix({"dim": 2, "entries": [[0, 0]]})
+    with pytest.raises(ValidationError, match=r"needs 4 \[re, im\] entries, got shape \(4,\)"):
+        document_to_matrix({"dim": 2, "entries": [1, 2, 3, 4]})  # entries that are no sequences
     with pytest.raises(ValidationError):
         document_to_matrix({"entries": []})
     with pytest.raises(ValidationError):

@@ -189,6 +189,7 @@ def test_projection_validation():
 
 @pytest.mark.parametrize("build, invariant", [
     (lambda: Effect.from_eigensystem([0.5, 0.5], np.eye(3)), "shapes do not match"),
+    (lambda: Effect.from_eigensystem([[0.5, 0.5]], np.eye(2)), "shapes do not match"),
     (lambda: Effect.from_eigensystem([math.nan, 0.5], np.eye(2)), "NaN or Inf"),
     (lambda: Effect.from_eigensystem([0.2, 0.5], [[1.0, 1.0], [0.0, 1.0]]),
      "not orthonormal"),
@@ -197,12 +198,15 @@ def test_projection_validation():
     (lambda: Effect(np.eye(2) - np.diag([1.0, 0.0]) + 3e-9 * np.eye(2)), "1.000000003"),
     (lambda: DensityOperator(np.diag([0.0, 1.0 + 3e-8]), trace_tol=1e-8), "1.00000001"),
     (lambda: closed_form_2d(0.5, 0.5, 1 + 2e-12, 0, 0.5), "1.000000000002"),
+    (lambda: closed_form_2d(0.5, 0.5, 0.5, 0, 0.5, t=math.inf), "t must be finite, got inf"),
+    (lambda: closed_form_2d(0.5, 0.5, 0.5, 0, 0.5, t=math.nan), "t must be finite, got nan"),
     (lambda: QuantumChannel([np.sqrt(1 + 5e-10) * np.eye(2)]), "1.0000000005"),
     # an effect is one matrix: a stack of them is no effect
     (lambda: Effect(np.zeros((2, 2, 2))), r"expected a square matrix, got shape \(2, 2, 2\)"),
-], ids=["eigensystem-shapes", "eigensystem-nan", "eigensystem-not-orthonormal",
-        "projection-not-idempotent", "effect-above-one", "state-above-trace-edge",
-        "closed-form-above-one", "channel-increases-trace", "effect-of-a-stack"])
+], ids=["eigensystem-shapes", "eigensystem-2d-eigenvalues", "eigensystem-nan",
+        "eigensystem-not-orthonormal", "projection-not-idempotent", "effect-above-one",
+        "state-above-trace-edge", "closed-form-above-one", "closed-form-infinite-t",
+        "closed-form-nan-t", "channel-increases-trace", "effect-of-a-stack"])
 def test_malformed_operands_are_validation_errors(build, invariant):
     with pytest.raises(ValidationError, match=invariant):
         build()
