@@ -74,6 +74,12 @@ ENTRIES = [
     ("axioms-raw-dim-one", "axioms --product raw --trials 60 --dims 1,2,3,4,6 --seed 0"),
     ("axioms-huge-t-raised-comm-floor",
      "axioms --product phased --t 1e307 --trials 60 --dims 1,2,3 --seed 4 --tol comm_floor=0.3"),
+    # two suites at one seed: the second replays the first's converse streams
+    ("axioms-phased-two-t-raised-comm-floor",
+     "axioms --product phased --t=-1,1 --trials 40 --dims 2,3 --seed 2 --tol comm_floor=0.5"),
+    # the first suite redoes its raising trials alone; the second runs on what the first kept
+    ("axioms-phased-huge-t-then-one",
+     "axioms --product phased --t 1e307,1 --trials 60 --dims 1,2,3 --seed 4"),
     # one exit-2 entry per input check whose message names no file
     ("axioms-negative-seed", "axioms --seed -1"),
     ("axioms-zero-trials", "axioms --trials 0"),
