@@ -23,9 +23,11 @@ a set of products that depend only on earlier steps.  Drawn effects have
 one builder, a stacked QR and eigensystem build in stacks of bounded size:
 the suite builds the draws of all its checks per dim in one pass, and the
 generators, the converse redraws and the witness search's reported pair
-use it too.  The witness search scores its pairs on the same QR and
-checked eigensystems, and forms B's matrices alone, on one worker thread
-while the calling thread draws.
+use it too; the driver keeps its last run's draws and builds, so the next
+product at that schedule, such as the CLI's next ``--t``, only evaluates.
+The witness search scores its pairs on the same QR and checked
+eigensystems, and forms B's matrices alone, on one worker thread while the
+calling thread draws.
 Evaluations are written once, for stacks of trials, and every product runs
 through one driver that evaluates the checks of a dim side by side.  The
 library's products, ``luders_product`` and ``phased_product`` with t bound
@@ -99,6 +101,7 @@ DEFAULT_SEPARATION_FLOOR = 1e-6  # converse: least ‖A∘B − B∘A‖_F it mu
 CLUSTER_TOL = 1e-8               # eigenvalues this close share a cluster
 MAX_ATTEMPT_FACTOR = 10          # attempts per requested trial before giving up
 STACK_ENTRIES = 2**14            # matrix entries of the effects all checks build in one pass
+MEMO_BYTES = 2**25               # array bytes the driver keeps of its last run's draws and builds
 DEFAULT_TRIALS = 1000            # per axiom check
 DEFAULT_DIMS = (2, 3, 4, 6)
 DEFAULT_WITNESS_TRIALS = 100     # pairs drawn by the non-uniqueness search
@@ -117,7 +120,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _gaussians(rng, dim) -> tuple[np.ndarray, np.ndarray]:
     """The real and imaginary parts of a Haar basis's Gaussian matrix, in draw order."""
-    return rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    return tuple(rng.standard_normal((2, dim, dim)))  # one call draws what two would
 
 
 def _haar(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -288,8 +291,8 @@ class CheckReport:
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     """``np.random.default_rng((seed, index))``, bit for bit: a PCG64 on the
     cached words of numpy's ``SeedSequence((seed, index))``.  Every trial
-    stream is made here, one per attempt and one more for an attempt that
-    is redone alone (see ``_evaluated``)."""
+    stream is made here: one per attempt drawn or kept stream handed out
+    (see ``_attempts``), and one more for an attempt redone alone (see ``_evaluated``)."""
     return np.random.Generator(np.random.PCG64(_StreamSeed(_stream_words(seed, index))))
 
 
@@ -300,11 +303,14 @@ def _stream_words(seed: int, index: int) -> np.ndarray:
 
 
 class _StreamSeed:
-    """A seed sequence that gives PCG64 four precomputed uint64 words.  Each registers
+    """A seed sequence that gives PCG64 four precomputed uint64 words.  The first one registers
     the class as a numpy ``ISeedSequence``; a base class would load numpy.random at import."""
 
+    registered = None
+
     def __init__(self, words: np.ndarray):
-        np.random.bit_generator.ISeedSequence.register(_StreamSeed)
+        if not _StreamSeed.registered:  # register gives back the class
+            _StreamSeed.registered = np.random.bit_generator.ISeedSequence.register(_StreamSeed)
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
@@ -343,7 +349,7 @@ class _Check(NamedTuple):
 
     ``draw(rng, dim, i)`` makes attempt i's RNG calls, on its own stream, and
     returns None when its hypothesis cannot be drawn, else a tuple of values,
-    each a _Draw or a plain value.  ``evaluate(*operands)`` is a generator
+    each a _Draw or a plain value, any stream last.  ``evaluate(*operands)`` is a generator
     over stacks of the operands of n trials (see ``_operands``): it yields
     steps, each a tuple of requests ``(a, b)``, is sent for each step the
     tuple of the products A∘B, and returns for each trial what
@@ -419,6 +425,23 @@ class _Tally:
         )
 
 
+class _Memo(dict):
+    """A run's first draws, by (axiom, seed, i, dim), and stacked builds, by
+    the dim and its groups' (axiom, seed, layout, attempt indices).  An entry
+    is a pure function of its key, so a stale or lost one can only miss;
+    none is kept that would take the slot past MEMO_BYTES array bytes."""
+
+    schedule, size = None, 0
+
+    def keep(self, key, value, size: int) -> None:
+        if self.size + size <= MEMO_BYTES:
+            self.size += size
+            self[key] = value
+
+
+_memo = _Memo()
+
+
 def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
     """Run the checks ``checks[k](dims)`` on the product ``put``, check k on the
     streams ``(seed + k, i)``, each until `trials` samples executed or its
@@ -435,11 +458,18 @@ def _run_checks(put, trials, dims, seed, ceiling, *checks) -> list[CheckReport]:
     building its effects, by the product under test or by a result it
     returned, counts as a failure of that trial and never aborts the run.
     Outcomes are counted in trial order, check by check, so a report does
-    not depend on which other checks ran beside it.
+    not depend on which other checks ran beside it.  The draws and builds,
+    which no product changes, are kept in the memo (``_Memo``), emptied
+    first unless the last run had the same schedule, each check's (axiom,
+    seed), the trials and the dims: the next product there only evaluates.
     """
+    global _memo
     trials, seed, dims = _schedule(trials, seed, dims)
     ceiling = require_tolerance("ceiling", ceiling)
     tallies = [_Tally(make(dims), seed + k, ceiling) for k, make in enumerate(checks)]
+    if _memo.schedule != (schedule := (trials, dims, *[(t.check.axiom, t.seed) for t in tallies])):
+        _memo = _Memo()
+        _memo.schedule = schedule
     limit = trials * MAX_ATTEMPT_FACTOR
     # an attempt executes at most one trial, so every attempt drawn is needed
     while rounds := [(tally, tally.attempts, min(trials - tally.executed, limit - tally.attempts))
@@ -454,32 +484,44 @@ def _attempts(put, dims, rounds):
     first, count)``, attempts first .. first + count − 1 of its check.
 
     Attempt i draws ``draw(_trial_rng(seed, i), dim, i)`` at
-    ``dim = dims[(i // 2) % len(dims)]``.  Its outcome is None when it is no
-    trial, the exception its draw, its build or its evaluation raised, or
-    what its evaluation returned for it.  The round's attempts are drawn in
-    blocks whose effects hold at most STACK_ENTRIES matrix entries over all
-    checks (an attempt beyond that is a block of its own) and evaluated a
-    block at a time (see ``_evaluated``).
+    ``dim = dims[(i // 2) % len(dims)]``, or takes it from the memo, which
+    keeps each draw that is a trial, with its effects' matrix entries, and a
+    stream it hands on, last, as its state after the draw.  Its outcome is
+    None when it is no trial, the exception its draw, its build or its
+    evaluation raised, or what its evaluation returned for it.  The round's
+    attempts are drawn in blocks whose effects hold at most STACK_ENTRIES
+    matrix entries over all checks (an attempt beyond that is a block of its
+    own) and evaluated a block at a time (see ``_evaluated``).
     """
     block, entries = [], 0
     for tally, first, count in rounds:
         for i in range(first, first + count):
             dim = dims[(i // 2) % len(dims)]
-            drawn = _drawn(tally, i, dim)
-            size = (dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
-                    if isinstance(drawn, tuple) else 0)
+            key = (tally.check.axiom, tally.seed, i, dim)
+            if (kept := _memo.get(key)) is None:
+                drawn, size = _drawn(tally, rng := _trial_rng(tally.seed, i), i, dim), 0
+                if isinstance(drawn, tuple):
+                    size = dim * dim * sum(len(x.spectra) for x in drawn if isinstance(x, _Draw))
+                    # a _Draw's arrays hold at most 24 bytes per matrix entry of its effects
+                    _memo.keep(key, ((*drawn[:-1], rng.bit_generator.state) if drawn[-1] is rng
+                                     else drawn, size), 24 * size)
+            else:
+                drawn, size = kept
+                if isinstance(drawn[-1], dict):  # a new stream at the kept state
+                    drawn = (*drawn[:-1], _trial_rng(tally.seed, i))
+                    drawn[-1].bit_generator.state = kept[0][-1]
             if block and entries + size > STACK_ENTRIES:
-                yield from _evaluated(block, put)
+                yield from _evaluated(block, put, _memo)
                 block, entries = [], 0
             block.append((tally, i, dim, drawn))
             entries += size
-    yield from _evaluated(block, put)
+    yield from _evaluated(block, put, _memo)
 
 
-def _drawn(tally, i, dim):
-    """Attempt i's draw at dim on its own stream, or the exception it raised."""
+def _drawn(tally, rng, i, dim):
+    """Attempt i's draw at dim on its own stream ``rng``, or the exception it raised."""
     try:
-        return tally.check.draw(_trial_rng(tally.seed, i), dim, i)
+        return tally.check.draw(rng, dim, i)
     except Exception as exc:
         return exc
 
@@ -501,14 +543,19 @@ class _Outputs(list):
         return np.stack([x.matrix for x in self])
 
 
-def _operands(groups: list[list[tuple]]) -> list[list]:
+def _operands(groups: list[list[tuple]], memo: _Memo, key) -> list[list]:
     """The operands of groups of trials, each group's drawn values in one
-    layout: per group, the effects of each _Draw position as stacks, which
-    ``_build`` makes from the columns of draws of all groups at once, and
-    each other position's values in a list."""
-    columns = [[drawn[p] for drawn in drawns] for drawns in groups
-               for p, x in enumerate(drawns[0]) if isinstance(x, _Draw)]
-    stacks = iter(_build(columns))
+    layout: per group, the effects of each _Draw position as read-only
+    stacks, which ``_build`` makes from the columns of draws of all groups
+    at once, or ``memo`` keeps by ``key``, and each other position's values in a list."""
+    if (stacks := memo.get(key)) is None:
+        stacks = _build([[drawn[p] for drawn in drawns] for drawns in groups
+                         for p, x in enumerate(drawns[0]) if isinstance(x, _Draw)])
+        arrays = [y for x in stacks for y in (x.matrix, *vars(x.decomposition).values())]
+        for y in arrays:
+            y.setflags(write=False)
+        memo.keep(key, stacks, sum(y.nbytes for y in arrays))
+    stacks = iter(stacks)
     out = []
     for drawns in groups:
         operands = []
@@ -578,19 +625,19 @@ def _jointly(rows: list[tuple], put):
                 sends += [(g, made) for (g, _step), made in zip(call, products)]
 
 
-def _evaluated(block, put):
+def _evaluated(block, put, memo: _Memo):
     """Yield ``_attempts``' outcomes, in block order, for one block of
     ``(tally, i, dim, drawn)``.
 
     A check's trials of one dim and one layout of drawn values form a group.
-    The draws of all groups of one dim are built in one stacked pass, and
-    the groups are evaluated side by side (see ``_jointly``).  If the build
-    raises, it interrupts every group of the dim; a product call or an
-    evaluation that raises interrupts the groups ``_jointly`` names.  Each
-    trial of an interrupted group is attempted again as a block of its own:
-    drawn afresh (``_drawn``), built and evaluated alone.  In a block of one
-    trial the exception is that trial's outcome, so each error is charged
-    to the trial that caused it, with the message a single-effect run gives.
+    The draws of all groups of one dim are built in one stacked pass, or
+    taken from ``memo``, and evaluated side by side (see ``_jointly``).  A
+    build that raises interrupts every group of the dim; a product call or
+    an evaluation that raises, the groups ``_jointly`` names.  Each trial of
+    an interrupted group is attempted again as a block of its own, with a
+    memo of its own: drawn afresh (``_drawn``), built and evaluated alone.
+    In a block of one trial the exception is that trial's outcome, so each
+    error is its own trial's, with the message a single-effect run gives.
     """
     by_dim, outcomes = {}, {}
     for pos, (tally, _i, dim, drawn) in enumerate(block):
@@ -599,10 +646,12 @@ def _evaluated(block, put):
             by_dim.setdefault(dim, {}).setdefault((tally, layout), []).append(pos)
         else:
             outcomes[pos] = drawn
-    for groups in by_dim.values():
-        groups = list(groups.values())
+    for dim, by_group in by_dim.items():
+        groups = list(by_group.values())
+        key = (dim, *[(tally.check.axiom, tally.seed, layout, *[block[pos][1] for pos in group])
+                      for (tally, layout), group in by_group.items()])
         try:
-            built = _operands([[block[pos][3] for pos in group] for group in groups])
+            built = _operands([[block[pos][3] for pos in group] for group in groups], memo, key)
         except Exception as exc:  # the build interrupts every group of the dim
             results = dict.fromkeys(range(len(groups)), exc)
         else:
@@ -616,7 +665,8 @@ def _evaluated(block, put):
             else:
                 for pos in group:
                     tally, i, dim = block[pos][:3]
-                    (*_, outcomes[pos]), = _evaluated([(tally, i, dim, _drawn(tally, i, dim))], put)
+                    drawn = _drawn(tally, _trial_rng(tally.seed, i), i, dim)
+                    (*_, outcomes[pos]), = _evaluated([(tally, i, dim, drawn)], put, _Memo())
     for pos, (tally, i, dim, _) in enumerate(block):
         yield tally, i, dim, outcomes[pos]
 

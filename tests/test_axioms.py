@@ -964,6 +964,117 @@ def test_an_evaluation_that_raises_on_one_trial_charges_that_trial_alone(monkeyp
     assert len(calls) == 10 + 10 + 10
 
 
+# ---------------------------------------------------------------------------
+# the driver's memo of its last run's draws and builds
+# ---------------------------------------------------------------------------
+
+def _empty_memo():
+    seqprod.axioms._memo = seqprod.axioms._Memo()
+
+
+def _suite_bytes(put, comm_floor=seqprod.axioms.DEFAULT_COMM_FLOOR, seed=5):
+    reports = run_axiom_suite(put, trials=20, dims=(1, 2, 3), seed=seed, comm_floor=comm_floor)
+    return dumps([dict(vars(r)) for r in reports])
+
+
+def _kept_bytes(memo) -> int:
+    """The bytes of the arrays a memo holds: its draws' and its builds'."""
+    total = 0
+    for value in memo.values():
+        if isinstance(value, tuple):  # a draw and its matrix entries
+            total += sum(y.nbytes for x in value[0] if isinstance(x, seqprod.axioms._Draw)
+                         for y in (x.re, x.im, *x.spectra))
+        else:  # a dim's stacked build
+            total += sum(y.nbytes for x in value for y in (
+                x.matrix, x.decomposition.eigenvalues, x.decomposition.eigenvectors))
+    return total
+
+
+MEMO_PRODUCTS = {"luders": luders_product, "phased(t=-1)": phased(-1.0),
+                 "phased(t=1)": phased(1.0), "raw": seqprod.cli._raw_matrix_product}
+
+
+@pytest.mark.parametrize("comm_floor", [seqprod.axioms.DEFAULT_COMM_FLOOR, 0.5],
+                         ids=["default-floor", "floor=0.5"])
+@pytest.mark.parametrize("product", MEMO_PRODUCTS)
+def test_a_suite_on_another_products_memo_reports_as_on_an_empty_one(product, comm_floor):
+    # at a raised floor most d = 2 converse pairs are redrawn on the trial
+    # stream, which a kept draw hands on at its state after the draw
+    put = MEMO_PRODUCTS[product]
+    missed = _suite_bytes(put, comm_floor)
+    other = phased(1.0) if product == "luders" else luders_product
+    _empty_memo()
+    _suite_bytes(other, comm_floor)
+    kept = dict(seqprod.axioms._memo)
+    assert kept
+    assert _suite_bytes(put, comm_floor) == missed
+    # the second product at the schedule drew and built nothing the memo held
+    assert seqprod.axioms._memo.keys() == kept.keys()
+
+
+def test_a_schedule_change_empties_the_memo():
+    _suite_bytes(luders_product, seed=5)
+    first = seqprod.axioms._memo
+    _suite_bytes(phased(1.0), seed=5)
+    assert seqprod.axioms._memo is first
+    _suite_bytes(luders_product, seed=6)
+    assert seqprod.axioms._memo is not first
+    assert {key[1] for key in seqprod.axioms._memo if isinstance(key[0], str)} == set(range(6, 12))
+
+
+@pytest.mark.parametrize("bound", [0, 30_000, 100_000])
+def test_a_memo_bound_leaves_the_reports_unchanged_and_is_never_passed(bound, monkeypatch):
+    expected = _suite_bytes(luders_product)
+    _empty_memo()
+    monkeypatch.setattr(seqprod.axioms, "MEMO_BYTES", bound)
+    keep = seqprod.axioms._Memo.keep
+
+    def bounded(memo, key, value, size):
+        keep(memo, key, value, size)
+        assert memo.size <= bound and _kept_bytes(memo) <= memo.size
+
+    monkeypatch.setattr(seqprod.axioms._Memo, "keep", bounded)
+    assert _suite_bytes(luders_product) == expected
+    assert _suite_bytes(phased(1.0)) == _suite_bytes(phased(1.0))  # on a full slot
+    _empty_memo()
+    assert _suite_bytes(luders_product) == expected
+    assert bool(seqprod.axioms._memo) == (bound > 0)
+
+
+def test_a_product_that_writes_into_an_operand_fails_its_own_trials():
+    # every stack the driver builds is read-only, kept or not, so the write
+    # fails each trial, a redone one too, and leaves the memo unaltered; a
+    # derived operand, such as S2's identity, may be written
+    def writing(a, b):
+        a.matrix[0, 0] = b.matrix[0, 0] = 0.5
+        return luders_product(a, b)
+
+    reports = run_axiom_suite(writing, trials=20, dims=(1, 2, 3), seed=5)
+    error = "assignment destination is read-only"
+    for report in reports:
+        assert report.failures == report.trials == 20, report.axiom
+        assert report.witness["error"] == error, report.axiom
+    after_writes = _suite_bytes(luders_product)
+    _empty_memo()
+    assert _suite_bytes(luders_product) == after_writes
+
+
+def test_the_witness_search_neither_reads_nor_fills_the_memo(monkeypatch):
+    _suite_bytes(luders_product)
+    memo = seqprod.axioms._memo
+    kept, size = dict(memo), memo.size
+
+    def untouched(*args):
+        raise AssertionError("the witness search used the memo")
+
+    monkeypatch.setattr(seqprod.axioms._Memo, "get", untouched)
+    monkeypatch.setattr(seqprod.axioms._Memo, "keep", untouched)
+    find_nonuniqueness_witness(trials=30, dims=(2, 3), seed=5)
+    find_nonuniqueness_witness(trials=30, dims=(2, 3), seed=5, commuting_only=True)
+    assert seqprod.axioms._memo is memo
+    assert dict(memo) == kept and memo.size == size
+
+
 @pytest.mark.parametrize("fn", ALL_CHECKS + (find_nonuniqueness_witness,),
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("schedule", [{"trials": 0}, {"trials": -3}, {"dims": ()},

@@ -6,6 +6,7 @@ streams give.  The witness search draws pair i on
 
 import functools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,8 @@ REPORT_RUNS = {
 @pytest.mark.parametrize("run", REPORT_RUNS.values(), ids=REPORT_RUNS)
 def test_reports_are_those_of_numpys_streams(run, seed, monkeypatch):
     report = dumps(run(seed))
+    # else the second run would take the first one's draws from the memo
+    seqprod.axioms._memo = seqprod.axioms._Memo()
     monkeypatch.setattr(seqprod.axioms, "_trial_rng", numpy_stream)
     same = report == dumps(run(seed))  # no pytest diff of two long one-line documents
     assert same
@@ -114,9 +117,11 @@ def test_each_attempt_and_each_scanned_pair_takes_one_stream(monkeypatch):
 
 def test_suites_at_one_seed_share_their_cached_streams(monkeypatch):
     # each attempt's SeedSequence is made once; a second product at the same
-    # seed, as the CLI runs its --t values, finds every stream cached
-    made, attempts = [], []
+    # seed, as the CLI runs its --t values, finds every stream cached, and
+    # every draw and stacked build of its attempts kept in the memo
+    made, attempts, builds = [], [], []
     seed_sequence, report = np.random.SeedSequence, seqprod.axioms._Tally.report
+    build = seqprod.axioms._build
 
     def counted(*args, **kwargs):
         made.append(args)
@@ -126,15 +131,40 @@ def test_suites_at_one_seed_share_their_cached_streams(monkeypatch):
         attempts.append(tally.attempts)
         return report(tally)
 
+    def recorded(columns):  # by caller: the first draws' blocks or the converse redraws
+        builds.append(sys._getframe(1).f_code.co_name)
+        return build(columns)
+
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     monkeypatch.setattr(seqprod.axioms._Tally, "report", tallied)
+    monkeypatch.setattr(seqprod.axioms, "_build", recorded)
     seqprod.axioms._stream_words.cache_clear()
     run_axiom_suite(luders_product, trials=10, dims=(2, 3), seed=11)
     assert len(attempts) == 6
     assert len(made) == sum(attempts) > 0
+    assert builds.count("_operands") == 2  # one per dim
+    redraws = [caller for caller in builds if caller != "_operands"]
     made.clear()
+    builds.clear()
     run_axiom_suite(functools.partial(phased_product, t=1.0), trials=10, dims=(2, 3), seed=11)
-    assert made == []
+    assert made == [] and builds == redraws
+
+
+def test_a_suite_registers_its_seed_sequence_with_numpy_once(monkeypatch):
+    # the first trial stream of the process registers _StreamSeed as a numpy
+    # ISeedSequence; no later stream does it again
+    interface = np.random.bit_generator.ISeedSequence
+    register, calls = interface.register, []
+
+    def counted(cls):
+        calls.append(cls)
+        return register(cls)
+
+    monkeypatch.setattr(seqprod.axioms._StreamSeed, "registered", None)
+    monkeypatch.setattr(interface, "register", counted)
+    run_axiom_suite(luders_product, trials=25, dims=(2, 3, 4, 6), seed=3)
+    run_axiom_suite(luders_product, trials=25, dims=(2, 3, 4, 6), seed=4)
+    assert calls == [seqprod.axioms._StreamSeed]
 
 
 def test_a_search_leaves_the_stream_cache_as_it_was():
