@@ -203,22 +203,22 @@ def _generator(draw):
 
 
 def _draw_generic(rng, dim) -> _Draw:
-    lam = rng.uniform(0.0, 1.0, dim)
+    lam = rng.random(dim)
     return _Draw(*_gaussians(rng, dim), (lam,))
 
 
 def _draw_commuting_pair(rng, dim) -> _Draw:
     g = _gaussians(rng, dim)
-    return _Draw(*g, (rng.uniform(0.0, 1.0, dim), rng.uniform(0.0, 1.0, dim)))
+    return _Draw(*g, (rng.random(dim), rng.random(dim)))
 
 
 def _draw_kernel_disjoint_pair(rng, dim) -> _Draw:
     g = _gaussians(rng, dim)
     k = int(rng.integers(1, dim)) if dim >= 2 else 1
     lam_a = np.zeros(dim)
-    lam_a[:k] = rng.uniform(0.0, 1.0, k)
+    lam_a[:k] = rng.random(k)
     lam_b = np.zeros(dim)
-    lam_b[k:] = rng.uniform(0.0, 1.0, dim - k)
+    lam_b[k:] = rng.random(dim - k)
     return _Draw(*g, (lam_a, lam_b))
 
 
@@ -690,7 +690,7 @@ def _worse(*defects) -> list[float]:
 
 def _s1(_dims) -> _Check:
     def draw(rng, dim, _i):
-        return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.uniform())
+        return _draw_generic(rng, dim), _draw_generic(rng, dim), float(rng.random())
 
     def evaluate(a, b, u):
         c = _effect_stack(np.array(u)[:, None, None] * (np.eye(a.dim) - b.matrix))
@@ -778,9 +778,9 @@ def check_s4(put: Product, *, trials: int = DEFAULT_TRIALS, dims=DEFAULT_DIMS,
 def _s5(_dims) -> _Check:
     def draw(rng, dim, _i):
         g = _gaussians(rng, dim)
-        lam_a = rng.uniform(0.0, 1.0, dim)
-        lam_b = rng.uniform(0.0, 1.0, dim) * (1.0 - lam_a)
-        return (_Draw(*g, (lam_a, lam_b, rng.uniform(0.0, 1.0, dim))),)
+        lam_a = rng.random(dim)
+        lam_b = rng.random(dim) * (1.0 - lam_a)
+        return (_Draw(*g, (lam_a, lam_b, rng.random(dim))),)
 
     def evaluate(a, b, c):
         ab, = yield ((a, b),)

@@ -533,6 +533,10 @@ class _NaNUniform:
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
+    def random(self, *args, **kwargs):
+        # the numbers uniform(0, 1) draws, and what the subclass puts first
+        return self.uniform(0.0, 1.0, *args, **kwargs)
+
     def uniform(self, *args, **kwargs):
         out = np.array(self._rng.uniform(*args, **kwargs), dtype=float)
         out.flat[0] = np.nan
