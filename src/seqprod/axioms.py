@@ -23,23 +23,23 @@ a set of products that depend only on earlier steps.  Drawn effects have
 one builder, a stacked QR and eigensystem build in stacks of bounded size:
 the suite builds the draws of all its checks per dim in one pass, and the
 generators, the converse redraws and the witness search's reported pair
-use it too; the driver keeps its last run's draws and builds, so the next
-product at that schedule, such as the CLI's next ``--t``, only evaluates.
-The witness search scores its pairs on the same QR and checked
+use it too.  The driver keeps its last run's draws, by (axiom, seed, i,
+dim), and read-only builds, by dim and trials, up to MEMO_BYTES, so the
+next product at that schedule, such as the CLI's next ``--t``, only
+evaluates.  The witness search scores its pairs on the same QR and checked
 eigensystems, and forms B's matrices alone, on one worker thread while the
-calling thread draws.
-Evaluations are written once, for stacks of trials, and every product runs
-through one driver that evaluates the checks of a dim side by side.  The
-library's products, ``luders_product`` and ``phased_product`` with t bound
-by keyword (as the CLI binds it), take stacks, so each step costs one
-product call per dim over all checks; any other product is called once per
-item of that step, on single effects.  A check run alone is the same driver
-with one check.  Failures follow one rule: if a dim's build, a product
-call or an evaluation raises, each trial of the evaluations it interrupted
-is attempted again as a block of its own, drawn afresh on its own stream,
-built and evaluated alone, and a block of one trial takes the exception as
-that trial's outcome.  So each failure is its own trial's, with the message
-a single-effect run gives.
+calling thread draws.  Evaluations are written once, for stacks of trials,
+and every product runs through one driver that evaluates the checks of a
+dim side by side.  The library's products, ``luders_product`` and
+``phased_product`` with t bound by keyword (as the CLI binds it), take
+stacks, so each step costs one product call per dim over all checks; any
+other product is called once per item of that step, on single effects.  A
+check run alone is the same driver with one check.  Failures follow one
+rule: if a dim's build, a product call or an evaluation raises, each trial
+of the evaluations it interrupted is attempted again as a block of its own,
+drawn afresh on its own stream, built and evaluated alone, and a block of
+one trial takes the exception as that trial's outcome.  So each failure is
+its own trial's, with the message a single-effect run gives.
 
 The k-th spectral projector of B is recovered by Lagrange interpolation of
 the matrix f_{1/2−i}(B) = B^{1/2}B^{-i} through the nodes f_{1/2−i}(b_j) at
@@ -291,8 +291,8 @@ class CheckReport:
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     """``np.random.default_rng((seed, index))``, bit for bit: a PCG64 on the
     cached words of numpy's ``SeedSequence((seed, index))``.  Every trial
-    stream is made here: one per attempt drawn or kept stream handed out
-    (see ``_attempts``), and one more for an attempt redone alone (see ``_evaluated``)."""
+    stream is made here: one per attempt drawn, or per kept stream resumed
+    (see ``_attempts``), and one more per attempt redone alone (see ``_evaluated``)."""
     return np.random.Generator(np.random.PCG64(_StreamSeed(_stream_words(seed, index))))
 
 
@@ -426,10 +426,10 @@ class _Tally:
 
 
 class _Memo(dict):
-    """A run's first draws, by (axiom, seed, i, dim), and stacked builds, by
-    the dim and its groups' (axiom, seed, layout, attempt indices).  An entry
-    is a pure function of its key, so a stale or lost one can only miss;
-    none is kept that would take the slot past MEMO_BYTES array bytes."""
+    """One schedule's first draws, by (axiom, seed, i, dim), and stacked
+    builds, by the dim and its groups' (axiom, seed, layout, attempt indices).
+    An entry is a pure function of its key, so a stale or lost one can only
+    miss; none is kept that would take its array bytes, ``size``, past MEMO_BYTES."""
 
     schedule, size = None, 0
 
@@ -507,9 +507,9 @@ def _attempts(put, dims, rounds):
                                      else drawn, size), 24 * size)
             else:
                 drawn, size = kept
-                if isinstance(drawn[-1], dict):  # a new stream at the kept state
+                if isinstance(state := drawn[-1], dict):  # a new stream at the kept state
                     drawn = (*drawn[:-1], _trial_rng(tally.seed, i))
-                    drawn[-1].bit_generator.state = kept[0][-1]
+                    drawn[-1].bit_generator.state = state
             if block and entries + size > STACK_ENTRIES:
                 yield from _evaluated(block, put, _memo)
                 block, entries = [], 0
