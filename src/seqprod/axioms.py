@@ -27,8 +27,15 @@ use it too.  The driver keeps its last run's draws, by (axiom, seed, i,
 dim), and read-only builds, by dim and trials, up to MEMO_BYTES, so the
 next product at that schedule, such as the CLI's next ``--t``, only
 evaluates.  The witness search scores its pairs on the same QR and checked
-eigensystems, and forms B's matrices alone, on one worker thread while the
-calling thread draws.  Evaluations are written once, for stacks of trials,
+eigensystems, and forms B's matrices alone, in blocks planned from its
+schedule alone.  Block k goes to shard k mod n, one shard per CPU the
+process may run on (``_cpus``): the caller scores shard 0 and a forked
+child each other shard, but only if the process runs no second thread,
+Python's or a BLAS's, so a single CPU, a pinned ``taskset -c 0`` or a
+multi-threaded BLAS scans inline.  The shards join on the largest gap,
+the earliest trial on ties, and the earliest failing block in plan order
+raises, so the report is the inline scan's, bit for bit.
+Evaluations are written once, for stacks of trials,
 and every product runs through one driver that evaluates the checks of a
 dim side by side.  The library's products, ``luders_product`` and
 ``phased_product`` with t bound by keyword (as the CLI binds it), take
@@ -52,6 +59,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import pickle
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Callable, NamedTuple, Optional
@@ -979,6 +988,81 @@ def _gap_score(lam: np.ndarray, v: np.ndarray, b: np.ndarray, t: float) -> list[
     return np.abs(w).max(axis=-1).tolist()  # +0.0, never -0.0, for a zero M
 
 
+def _cpus() -> int:
+    """The shards the witness search scores in: the CPUs this process may
+    run on, if it can fork and runs a single thread, else 1.  A forked child
+    would lack a second thread, and with a BLAS's own threads the two
+    processes' BLAS threads would contend for the same CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc: the thread count is unknown
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+def _witness_blocks(trials: int, dims, t_values) -> list[tuple[int, float, list[int]]]:
+    """The witness search's plan: its blocks ``(dim, t, trials)``, the trials
+    of one (dim, t) scored as one stack of at most STACK_ENTRIES matrix
+    entries, in the order a scan in trial order fills them: a block as the
+    next trial would overflow it, then the open blocks as they were opened."""
+    plan, open_blocks = [], {}
+    for i in range(trials):
+        key = dims[i % len(dims)], t_values[i % len(t_values)]
+        if key in open_blocks and 2 * key[0] ** 2 * (len(open_blocks[key]) + 1) > STACK_ENTRIES:
+            plan.append((*key, open_blocks.pop(key)))
+        open_blocks.setdefault(key, []).append(i)
+    return plan + [(*key, block) for key, block in open_blocks.items()]
+
+
+def _joined(x: tuple, y: tuple) -> tuple:
+    """Two reductions ``(best, first_hit, failure)`` of witness-search blocks
+    as one: the best ``(gap, i, dim, t, drawn)`` of the larger gap, of the
+    earlier trial on ties; the earlier first hit; and the failure
+    ``(plan index, error)`` of the earlier block.  None is none yet."""
+    keys = (lambda best: (-best[0], best[1]), int, lambda failure: failure[0])
+    return tuple(b if a is None or b is not None and key(b) < key(a) else a
+                 for a, b, key in zip(x, y, keys))
+
+
+def _forked(scan: Callable, shard: range) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child process that writes its
+    ``scan(shard)`` to the pipe, pickled, with a failure as its plan index
+    alone, and leaves through ``os._exit``: it never returns into the
+    caller, flushes no stdio buffer and prints nothing."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                best, first_hit, failure = scan(shard)
+                with open(w, "wb", closefd=False) as pipe:
+                    pickle.dump((best, first_hit, None if failure is None else failure[0]), pipe)
+                status = 0
+            finally:
+                os._exit(status)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, r
+
+
+def _received(r: int, shard: range) -> tuple:
+    """What the child scoring ``shard`` wrote to pipe end r, read to its end:
+    its reduction, or, if it left without one, none with its first block
+    as the failed one, so that the caller scores the whole shard."""
+    with open(r, "rb", closefd=False) as pipe:
+        sent = pipe.read()
+    try:
+        return pickle.loads(sent)  # bytes a child of this call wrote
+    except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
+        return None, None, shard[0]
+
+
 def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
                                dims=DEFAULT_WITNESS_DIMS,
                                t_values=(1.0,), seed: int = 0,
@@ -989,14 +1073,20 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     Scores each random draw by ‖A ∘_t B − A ∘ B‖_op computed in A's
     eigenbasis, without forming either product.  That one score ranks the
     draws, sets ``first_hit_trial``, decides ``found`` and is the reported
-    ``gap``.  The draws of each (dim, t) are scored in stacks of at most
-    STACK_ENTRIES matrix entries, and read in trial order.  A stack's
-    eigensystems have one QR and one check, as ``_build`` gives them, and
-    only B's matrices are formed: the score reads A's eigensystem alone.
-    The calling thread draws while one worker thread scores, two stacks at
-    most in flight, merged in submission order: the report and a raised
-    error are an inline scan's, and no thread outlives the call.  One
-    worker, as ``eigvalsh`` does not overlap across threads.
+    ``gap``.  The draws of each (dim, t) are scored in blocks of at most
+    STACK_ENTRIES matrix entries, planned from ``trials``, ``dims`` and
+    ``t_values`` alone.  A block's eigensystems have one QR and one check,
+    as ``_build`` gives them, and only B's matrices are formed: the score
+    reads A's eigensystem alone.  Block k goes to shard k mod n, n =
+    min(``_cpus()``, blocks): shard 0 is scored here, any other in a forked
+    child, so the search forks only with two blocks and two CPUs or more
+    and no second thread, Python's or a BLAS's.  A shard draws its pairs in
+    trial order and scores its blocks in plan order.  Shards join as pairs
+    do, on the largest gap, the earliest trial on ties and the least first
+    hit, and the earliest failing block in plan order raises its error: the
+    report is an inline scan's, bit for bit, whatever the shard count.  A
+    child's failing block, or all of a child's blocks if it leaves no
+    reduction, is scored again here; no child or pipe outlives the call.
     The reported pair's two effects are built from its draws after the
     scan, bit for bit as the stacked build gives them, and its two product
     matrices are built for a found witness alone; a failed search reports
@@ -1004,48 +1094,56 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     reported ``theta`` is t·(ln a² − ln b²) with a² the larger eigenvalue of
     A, the phase that twists the off-diagonal entry.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: the search alone pays
+    from signal import SIGKILL  # the search alone pays its import
 
     t_values = tuple(_require_real("t_values entry", t) for t in t_values)
     trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
     gap_threshold = require_tolerance("gap_threshold", gap_threshold)
-    best = first_hit = None
-    blocks = {}  # (dim, t) -> the trials drawn and not yet scored, as (i, drawn)
-    in_flight = []  # (block, dim, t, future of its gaps), oldest first, at most two
+    plan = _witness_blocks(trials, dims, t_values)
 
-    def gaps_of(block, t):
-        spectra, bases, basis, (a, b) = _laid_out(list(zip(*[drawn for _i, drawn in block])))
-        w, v, snapped = _eigensystems(spectra, bases, basis)
-        return _gap_score(snapped[a], v[a], _eigensystem_matrices(w[b], v[b]), t)
+    def scan(ks):
+        # the shard's pairs are drawn in trial order, and each of its blocks
+        # is scored once drawn, in plan order, up to the first that raises
+        outcome, drawn, ks = (None, None, None), {}, list(ks)
+        for i in sorted(i for k in ks for i in plan[k][2]):
+            rng, d = np.random.default_rng((seed, i)), dims[i % len(dims)]
+            drawn[i] = ((_draw_commuting_pair(rng, d),) if commuting_only
+                        else (_draw_generic(rng, d), _draw_generic(rng, d)))
+            while ks and plan[ks[0]][2][-1] in drawn:
+                k = ks.pop(0)
+                dim, t, block = plan[k]
+                pairs = [drawn.pop(j) for j in block]
+                try:
+                    spectra, bases, basis, (a, b) = _laid_out(list(zip(*pairs)))
+                    w, v, snapped = _eigensystems(spectra, bases, basis)
+                    gaps = _gap_score(snapped[a], v[a], _eigensystem_matrices(w[b], v[b]), t)
+                except Exception as error:  # raised after the scan, if no earlier block fails
+                    return _joined(outcome, (None, None, (k, error)))
+                for j, pair, gap in zip(block, pairs, gaps):
+                    hit = j if gap > gap_threshold else None
+                    outcome = _joined(outcome, ((gap, j, dim, t, pair), hit, None))
+        return outcome
 
-    def merge():
-        nonlocal best, first_hit
-        block, dim, t, gaps = in_flight.pop(0)
-        for (i, drawn), gap in zip(block, gaps.result()):
-            if gap > gap_threshold and (first_hit is None or i < first_hit):
-                first_hit = i
-            if best is None or gap > best[0] or gap == best[0] and i < best[1]:
-                best = (gap, i, dim, t, drawn)
-
-    def flush(dim, t):
-        if len(in_flight) == 2:
-            merge()
-        block = blocks.pop((dim, t))
-        in_flight.append((block, dim, t, pool.submit(gaps_of, block, t)))
-
-    with ThreadPoolExecutor(1) as pool:
-        for i in range(trials):
-            dim, t = dims[i % len(dims)], t_values[i % len(t_values)]
-            rng = np.random.default_rng((seed, i))
-            drawn = ((_draw_commuting_pair(rng, dim),) if commuting_only
-                     else (_draw_generic(rng, dim), _draw_generic(rng, dim)))
-            if (dim, t) in blocks and 2 * dim * dim * (len(blocks[dim, t]) + 1) > STACK_ENTRIES:
-                flush(dim, t)
-            blocks.setdefault((dim, t), []).append((i, drawn))
-        for key in list(blocks):
-            flush(*key)
-        while in_flight:
-            merge()
+    n = min(_cpus(), len(plan))
+    shards = [range(s, len(plan), n) for s in range(n)]
+    children = []  # (pid, read end of its pipe, shard), killed, reaped and closed below
+    try:
+        for shard in shards[1:]:
+            children.append((*_forked(scan, shard), shard))
+        outcome = scan(shards[0])
+        for _pid, r, shard in children:
+            best, first_hit, failed = _received(r, shard)
+            outcome = _joined(outcome, (best, first_hit, None))
+            if failed is not None:  # scored here from that block on, for its error
+                outcome = _joined(outcome, scan(shard[shard.index(failed):]))
+    finally:
+        for pid, r, _shard in children:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    best, first_hit, failure = outcome
+    if failure is not None:
+        raise failure[1]
     gap, trial, dim, t, drawn = best
     report = {"found": False, "gap": gap, "threshold": gap_threshold,
               "trial": None, "first_hit_trial": first_hit, "dim": None,

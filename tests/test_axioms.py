@@ -1,6 +1,9 @@
 import functools
 import inspect
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import asdict
@@ -1333,6 +1336,7 @@ def test_witness_search_symmetrizes_each_product_once(monkeypatch):
     for module in (seqprod.linalg, seqprod.effects, seqprod.axioms):
         monkeypatch.setattr(module, "hermitize", counted)
     monkeypatch.setattr(seqprod.axioms, "product_on_selfadjoint", counted_product)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)  # a child's calls are not counted here
     trials = 6
     assert find_nonuniqueness_witness(trials=trials, dims=(2, 3), t_values=(1.0,))["found"]
     # one symmetrization per scored stack, of its B matrices, here one stack
@@ -1458,6 +1462,7 @@ def test_a_search_forms_no_a_matrix_but_the_reported_pairs(monkeypatch):
 
     for module in (seqprod.effects, seqprod.axioms):
         monkeypatch.setattr(module, "_eigensystem_matrices", recorded)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)  # a child's calls are not recorded here
     # a d = 64 block holds two pairs and is scored as the third arrives; the
     # d = 16 block, which no trial fills, is scored at the end, then the last d = 64 one
     report = find_nonuniqueness_witness(trials=12, dims=(16, 64), t_values=(1.0,))
@@ -1487,46 +1492,169 @@ def test_search_stacks_stay_within_the_entry_budget(monkeypatch):
     assert max(math.prod(shape) for shape in stacked) <= seqprod.axioms.STACK_ENTRIES
 
 
-def test_a_raising_block_raises_its_error_and_leaves_no_thread(monkeypatch):
-    calls, failure = [], DomainError("u = 1.5 lies outside [0, 1]")
-    original = seqprod.axioms._gap_score
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def raising(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise failure
-        return original(*args)
 
-    monkeypatch.setattr(seqprod.axioms, "_gap_score", raising)
-    before = threading.active_count()
-    # d = 64 blocks of two pairs each: the second block raises while the
-    # third is being drawn, and the search raises that block's error
-    with pytest.raises(DomainError) as raised:
-        find_nonuniqueness_witness(trials=12, dims=(64,), t_values=(1.0,))
-    assert raised.value is failure
-    assert threading.active_count() == before
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+# three keys whose blocks are planned interleaved: d = 64 every two pairs,
+# d = 16 every 32, d = 2 only at the end
+INTERLEAVED = {"trials": 60, "dims": (2, 16, 64), "t_values": (-1.0, 1.0, 3.0), "seed": 11}
+
+
+@pytest.mark.parametrize("case", ["interleaved", "commuting", "failed", "tie"])
+def test_a_search_reports_the_same_bits_in_any_number_of_shards(case, monkeypatch):
+    search = {"interleaved": INTERLEAVED,
+              "commuting": dict(INTERLEAVED, commuting_only=True),
+              "failed": dict(INTERLEAVED, gap_threshold=1.0),
+              "tie": INTERLEAVED}[case]
+    if case == "tie":
+        # every pair of gap 0.05 or more ties at 0.05: the earliest of them is the best
+        original = seqprod.axioms._gap_score
+        monkeypatch.setattr(seqprod.axioms, "_gap_score",
+                            lambda *args: [min(gap, 0.05) for gap in original(*args)])
+    reports = []
+    for shards in (1, 2, 3, 4):
+        monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: shards)
+        reports.append(find_nonuniqueness_witness(**search))
+        _assert_no_child_left()
+    assert [dumps(report) for report in reports] == [dumps(reports[0])] * 4
+    report = reports[0]
+    assert report["found"] == (case in ("interleaved", "tie"))
+    if case == "failed":
+        assert 0.01 < report["gap"] < 1.0 and report["first_hit_trial"] is None
+    if case == "tie":
+        # trial 1, of the d = 16 block planned eleventh, ties with every
+        # d = 64 pair, from plan block 0 on, and is the earliest of them
+        assert report["gap"] == 0.05 and report["trial"] == 1
 
 
 def test_a_search_reports_the_same_bits_whatever_the_scoring_schedule(monkeypatch):
-    # three keys whose blocks flush interleaved: d = 64 every two pairs, d = 16
-    # every 32, d = 2 only at the end
-    search = {"trials": 60, "dims": (2, 16, 64), "t_values": (-1.0, 1.0, 3.0), "seed": 11}
-    expected = find_nonuniqueness_witness(**search)
-    threads, original = [], seqprod.axioms._gap_score
+    expected = find_nonuniqueness_witness(**INTERLEAVED)
+    parent, original = os.getpid(), seqprod.axioms._gap_score
 
     def slowed(*args):
-        threads.append(threading.current_thread())
-        if len(threads) % 2:
-            time.sleep(0.02)  # the drawing thread runs ahead up to the in-flight cap
+        if os.getpid() != parent:
+            time.sleep(0.02)  # the parent finishes its shard first and waits on the child
         return original(*args)
 
     monkeypatch.setattr(seqprod.axioms, "_gap_score", slowed)
-    report = find_nonuniqueness_witness(**search)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 2)
+    report = find_nonuniqueness_witness(**INTERLEAVED)
     assert report["found"]
     assert dumps(report) == dumps(expected)
     assert report == expected
-    # one worker scores every block; the calling thread only draws
-    assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+    _assert_no_child_left()
+
+
+# one block per dim, planned d = 2, 3, 4, 5: two shards score d = 2 and 4
+# here and d = 3 and 5 in the child
+ONE_BLOCK_A_DIM = {"trials": 8, "dims": (2, 3, 4, 5), "t_values": (1.0,)}
+
+
+@pytest.mark.parametrize("failing, raised", [((4,), 4), ((5,), 5), ((3, 4), 3), ((2, 5), 2)],
+                         ids=["here", "in-the-child", "child-first", "here-first"])
+def test_a_raising_block_raises_the_inline_scans_error(failing, raised, monkeypatch):
+    errors = {dim: DomainError(f"u = 1.5 lies outside [0, 1] at d = {dim}") for dim in failing}
+    original = seqprod.axioms._gap_score
+
+    def raising(lam, *args):
+        if lam.shape[1] in errors:
+            raise errors[lam.shape[1]]
+        return original(lam, *args)
+
+    monkeypatch.setattr(seqprod.axioms, "_gap_score", raising)
+    fds = _open_fds()
+    for shards in (1, 2):
+        monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: shards)
+        with pytest.raises(DomainError) as caught:
+            find_nonuniqueness_witness(**ONE_BLOCK_A_DIM)
+        # the error of the earliest failing block in plan order, the very object
+        assert caught.value is errors[raised]
+        _assert_no_child_left()
+        assert _open_fds() == fds
+
+
+def test_a_child_that_leaves_without_its_reduction_changes_no_report(monkeypatch):
+    expected = dumps(find_nonuniqueness_witness(**INTERLEAVED))
+    parent, original = os.getpid(), seqprod.axioms._gap_score
+
+    def leaving(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return original(*args)
+
+    monkeypatch.setattr(seqprod.axioms, "_gap_score", leaving)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 3)
+    fds = _open_fds()
+    assert dumps(find_nonuniqueness_witness(**INTERLEAVED)) == expected
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_an_interrupted_search_leaves_no_child_and_no_pipe(monkeypatch):
+    parent, original = os.getpid(), seqprod.axioms._gap_score
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(10)  # the children still run when the parent is interrupted
+        return original(*args)
+
+    monkeypatch.setattr(seqprod.axioms, "_gap_score", interrupted)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 3)
+    fds, start = _open_fds(), time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        find_nonuniqueness_witness(**INTERLEAVED)
+    assert time.monotonic() - start < 5.0  # killed, not waited for
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_no_fork_while_a_second_thread_is_alive(monkeypatch):
+    forks, release = [], threading.Event()
+    fork = os.fork
+
+    def recorded():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded)
+    waiting = threading.Thread(target=release.wait, args=(30.0,))
+    waiting.start()
+    try:
+        assert seqprod.axioms._cpus() == 1
+        expected = find_nonuniqueness_witness(**INTERLEAVED)
+    finally:
+        release.set()
+        waiting.join(30.0)
+    assert not waiting.is_alive()
+    assert forks == []
+    assert find_nonuniqueness_witness(**INTERLEAVED) == expected
+    # alone again, the search forks a child per shard but its own
+    blocks = len(seqprod.axioms._witness_blocks(60, (2, 16, 64), (-1.0, 1.0, 3.0)))
+    assert len(forks) == min(seqprod.axioms._cpus(), blocks) - 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_a_blas_thread_keeps_the_search_in_one_shard(blas_threads):
+    # a native thread counts as a Python one: with two BLAS threads the
+    # BLAS's own second thread alone keeps the search from forking
+    code = ("import os, numpy, seqprod.axioms as axioms; print(len(os.listdir('/proc/self/task')),"
+            " axioms._cpus(), len(os.sched_getaffinity(0)))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               MKL_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    threads, cpus, affinity = map(int, out.split())
+    assert cpus == (affinity if threads == 1 else 1)
+    if blas_threads == "1":
+        assert threads == 1
 
 
 def _d2_supremum(t):
@@ -1584,6 +1712,7 @@ def test_a_search_over_resonant_a_reports_no_witness(monkeypatch):
         return pair._replace(spectra=(np.array([x * math.exp(-2.0 * math.pi / t), x]),))
 
     monkeypatch.setattr(seqprod.axioms, "_draw_generic", resonant)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)  # a child's draws are not counted here
     report = find_nonuniqueness_witness(trials=100, dims=(2,), t_values=(t,), seed=4)
     assert len(drawn) == 200
     assert not report["found"] and report["witness"] is None

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import corpus
+import seqprod.axioms
 
 MANIFEST = json.loads(corpus.MANIFEST.read_text(encoding="utf-8"))
 SAME_ENVIRONMENT = MANIFEST["environment"] == corpus.environment()
@@ -32,6 +33,17 @@ def test_a_corpus_entry_replays_as_recorded(entry, input_dir):
     # first kept of its draws and builds, and must give the same bytes
     for _run in range(2 if entry["argv"].startswith("axioms") else 1):
         assert_replays(entry, input_dir)
+
+
+SEARCHES = [e for e in MANIFEST["entries"] if e["argv"].startswith("nonuniqueness")]
+
+
+@pytest.mark.parametrize("entry", SEARCHES,
+                         ids=[f"{COMPARISON}-{e['name']}" for e in SEARCHES])
+def test_a_search_entry_replays_as_recorded_in_one_shard(entry, input_dir, monkeypatch):
+    # the test above replays it in as many shards as this process has CPUs
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)
+    assert_replays(entry, input_dir)
 
 
 def assert_replays(entry, input_dir):

@@ -111,6 +111,7 @@ def test_each_attempt_and_each_scanned_pair_takes_one_stream(monkeypatch):
     assert len(calls) == len(set(calls)) == sum(attempts)
     assert sum(attempts) > 6 * 10  # the converse at d = 2 gives up on some attempts
     calls.clear()
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)  # a child's streams are not counted here
     find_nonuniqueness_witness(trials=30, dims=(2, 3), seed=5)
     assert calls == [(5, i) for i in range(30)]
 
