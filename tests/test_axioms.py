@@ -1551,6 +1551,29 @@ def test_a_search_reports_the_same_bits_whatever_the_scoring_schedule(monkeypatc
     _assert_no_child_left()
 
 
+def test_a_raising_block_raises_its_error_and_leaves_no_thread(monkeypatch):
+    calls, failure = [], DomainError("u = 1.5 lies outside [0, 1]")
+    original = seqprod.axioms._gap_score
+
+    def raising(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise failure
+        return original(*args)
+
+    monkeypatch.setattr(seqprod.axioms, "_gap_score", raising)
+    before, fds = threading.active_count(), _open_fds()
+    # d = 64 blocks of two pairs each: the second block a process scores
+    # raises, and in any number of shards the earliest failing block in plan
+    # order is the caller's, so the search raises that very error
+    with pytest.raises(DomainError) as raised:
+        find_nonuniqueness_witness(trials=12, dims=(64,), t_values=(1.0,))
+    assert raised.value is failure
+    assert threading.active_count() == before
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
 # one block per dim, planned d = 2, 3, 4, 5: two shards score d = 2 and 4
 # here and d = 3 and 5 in the child
 ONE_BLOCK_A_DIM = {"trials": 8, "dims": (2, 3, 4, 5), "t_values": (1.0,)}
