@@ -1051,6 +1051,20 @@ def _forked(scan: Callable, shard: range) -> tuple[int, int]:
     return pid, r
 
 
+def _reaped(pid: int, r: int) -> None:
+    """Kill and reap child pid and close r, the read end of its pipe.  The
+    child may be gone already: a process that ignores SIGCHLD has its
+    children reaped for it."""
+    from signal import SIGKILL  # Unix alone, as os.fork is
+    try:
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass
+    finally:
+        os.close(r)
+
+
 def _received(r: int, shard: range) -> tuple:
     """What the child scoring ``shard`` wrote to pipe end r, read to its end:
     its reduction, or, if it left without one, none with its first block
@@ -1079,8 +1093,9 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     as ``_build`` gives them, and only B's matrices are formed: the score
     reads A's eigensystem alone.  Block k goes to shard k mod n, n =
     min(``_cpus()``, blocks): shard 0 is scored here, any other in a forked
-    child, so the search forks only with two blocks and two CPUs or more
-    and no second thread, Python's or a BLAS's.  A shard draws its pairs in
+    child, or here if no child can be forked.  So the search forks only with
+    two blocks and two CPUs or more, in a process that runs a single OS
+    thread: no second thread, Python's or a BLAS's.  A shard draws its pairs in
     trial order and scores its blocks in plan order.  Shards join as pairs
     do, on the largest gap, the earliest trial on ties and the least first
     hit, and the earliest failing block in plan order raises its error: the
@@ -1094,8 +1109,6 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
     reported ``theta`` is t·(ln a² − ln b²) with a² the larger eigenvalue of
     A, the phase that twists the off-diagonal entry.
     """
-    from signal import SIGKILL  # the search alone pays its import
-
     t_values = tuple(_require_real("t_values entry", t) for t in t_values)
     trials, seed, dims = _schedule(trials, seed, dims, t_values=t_values)
     gap_threshold = require_tolerance("gap_threshold", gap_threshold)
@@ -1126,11 +1139,14 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
 
     n = min(_cpus(), len(plan))
     shards = [range(s, len(plan), n) for s in range(n)]
-    children = []  # (pid, read end of its pipe, shard), killed, reaped and closed below
+    here, children = [shards[0]], []  # children: (pid, read end of its pipe, shard)
     try:
         for shard in shards[1:]:
-            children.append((*_forked(scan, shard), shard))
-        outcome = scan(shards[0])
+            try:
+                children.append((*_forked(scan, shard), shard))
+            except OSError:  # no process or pipe to spare (EAGAIN, ENOMEM, EMFILE)
+                here.append(shard)
+        outcome = functools.reduce(_joined, map(scan, here))
         for _pid, r, shard in children:
             best, first_hit, failed = _received(r, shard)
             outcome = _joined(outcome, (best, first_hit, None))
@@ -1138,9 +1154,7 @@ def find_nonuniqueness_witness(*, trials: int = DEFAULT_WITNESS_TRIALS,
                 outcome = _joined(outcome, scan(shard[shard.index(failed):]))
     finally:
         for pid, r, _shard in children:
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(r)
+            _reaped(pid, r)
     best, first_hit, failure = outcome
     if failure is not None:
         raise failure[1]

@@ -1,7 +1,9 @@
 import functools
 import inspect
 import math
+import errno
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -1563,15 +1565,19 @@ def test_a_raising_block_raises_its_error_and_leaves_no_thread(monkeypatch):
 
     monkeypatch.setattr(seqprod.axioms, "_gap_score", raising)
     before, fds = threading.active_count(), _open_fds()
-    # d = 64 blocks of two pairs each: the second block a process scores
-    # raises, and in any number of shards the earliest failing block in plan
-    # order is the caller's, so the search raises that very error
-    with pytest.raises(DomainError) as raised:
-        find_nonuniqueness_witness(trials=12, dims=(64,), t_values=(1.0,))
-    assert raised.value is failure
-    assert threading.active_count() == before
-    _assert_no_child_left()
-    assert _open_fds() == fds
+    # six d = 64 blocks of two pairs each, and the second block a process
+    # scores raises.  In one to four shards the caller's shard holds two
+    # blocks, and its second, block n, is the earliest failing block in plan
+    # order (a child's second is later), so the search raises that very error
+    for shards in (1, 2, 3, 4):
+        calls.clear()
+        monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: shards)
+        with pytest.raises(DomainError) as raised:
+            find_nonuniqueness_witness(trials=12, dims=(64,), t_values=(1.0,))
+        assert raised.value is failure
+        assert threading.active_count() == before
+        _assert_no_child_left()
+        assert _open_fds() == fds
 
 
 # one block per dim, planned d = 2, 3, 4, 5: two shards score d = 2 and 4
@@ -1617,6 +1623,46 @@ def test_a_child_that_leaves_without_its_reduction_changes_no_report(monkeypatch
     assert dumps(find_nonuniqueness_witness(**INTERLEAVED)) == expected
     _assert_no_child_left()
     assert _open_fds() == fds
+
+
+def test_a_shard_that_cannot_fork_is_scored_in_the_caller(monkeypatch):
+    expected = dumps(find_nonuniqueness_witness(**INTERLEAVED))
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 3)
+    fds = _open_fds()
+    assert dumps(find_nonuniqueness_witness(**INTERLEAVED)) == expected
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_a_search_in_a_process_that_ignores_sigchld_reports_as_recorded(monkeypatch):
+    expected = dumps(find_nonuniqueness_witness(**INTERLEAVED))
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 3)
+    fds, handler = _open_fds(), signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        # children are reaped as they exit, before the search reaps them
+        assert dumps(find_nonuniqueness_witness(**INTERLEAVED)) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_a_one_shard_search_needs_no_unix_signal(monkeypatch):
+    # where os.fork is missing, so is SIGKILL: one shard must not ask for it
+    expected = dumps(find_nonuniqueness_witness(**INTERLEAVED))
+    monkeypatch.delattr(signal, "SIGKILL")
+    monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)
+    assert dumps(find_nonuniqueness_witness(**INTERLEAVED)) == expected
 
 
 def test_an_interrupted_search_leaves_no_child_and_no_pipe(monkeypatch):
