@@ -32,7 +32,8 @@ schedule alone.  Block k goes to shard k mod n, one shard per CPU the
 process may run on (``_cpus``): the caller scores shard 0 and a forked
 child each other shard, but only if the process runs no second thread,
 Python's or a BLAS's, so a single CPU, a pinned ``taskset -c 0`` or a
-multi-threaded BLAS scans inline.  The shards join on the largest gap,
+multi-threaded BLAS scans inline, and a shard whose fork fails is scored
+by the caller.  The shards join on the largest gap,
 the earliest trial on ties, and the earliest failing block in plan order
 raises, so the report is the inline scan's, bit for bit.
 Evaluations are written once, for stacks of trials,

@@ -41,7 +41,8 @@ SEARCHES = [e for e in MANIFEST["entries"] if e["argv"].startswith("nonuniquenes
 @pytest.mark.parametrize("entry", SEARCHES,
                          ids=[f"{COMPARISON}-{e['name']}" for e in SEARCHES])
 def test_a_search_entry_replays_as_recorded_in_one_shard(entry, input_dir, monkeypatch):
-    # the test above replays it in as many shards as this process has CPUs
+    # the test above replays it in _cpus() shards: one per CPU while this
+    # process runs a single thread (a BLAS pinned to one), else one
     monkeypatch.setattr(seqprod.axioms, "_cpus", lambda: 1)
     assert_replays(entry, input_dir)
 
